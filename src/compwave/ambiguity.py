@@ -65,6 +65,15 @@ def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
     return np.linspace(float(lo), float(hi), int(count))
 
 
+def _grid_index(angles: np.ndarray, angle: float) -> int:
+    """Index of ``angle`` on an evaluation grid; ValueError when it is off the grid."""
+    idx = int(np.argmin(np.abs(angles - angle)))
+    span = max(1.0, float(angles.max() - angles.min()))
+    if not abs(angles[idx] - angle) <= 1e-9 * span:  # also rejects nan
+        raise ValueError(f"angle {angle} not on the evaluation grid")
+    return idx
+
+
 def _pair_arrays(pair):
     x, y = pair
     xx, yy = as_biphase(x), as_biphase(y)
@@ -146,11 +155,7 @@ class AmbiguityMap:
         return int(lag + L - 1)
 
     def angle_index(self, angle: float) -> int:
-        idx = int(np.argmin(np.abs(self.angles - angle)))
-        span = max(1.0, float(self.angles.max() - self.angles.min()))
-        if abs(self.angles[idx] - angle) > 1e-9 * span:
-            raise ValueError(f"angle {angle} not on the evaluation grid")
-        return idx
+        return _grid_index(self.angles, angle)
 
     def metadata(self) -> dict:
         return {

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from .ambiguity import (
     sidelobe_metrics,
     write_two_column_csv,
     _fmt,
+    _grid_index,
 )
 from .baselines import binomial_design, ptm_schedule
 from .design import (
@@ -59,6 +61,13 @@ class CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern only knows negative reals, so it reads a
+        # value such as -0.5+0.1j as an unknown option; a "-" followed by a
+        # digit (the rule Python 3.13 adopted) marks a value instead
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse's default error() exits with status 2, which this tool
     # reserves for numerical failures; route argument problems to 1.
     def error(self, message):
@@ -88,9 +97,11 @@ def _build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     eval_opts.add_argument("--points", type=int, default=dflt(2001), help="evaluation grid size")
 
     hcd_opts = _Parser(add_help=False)
-    hcd_opts.add_argument("--restarts", type=int, default=dflt(20))
-    hcd_opts.add_argument("--sweeps", type=int, default=dflt(100))
-    hcd_opts.add_argument("--eps", type=float, default=dflt(1e-6))
+    hcd_opts.add_argument("--restarts", type=int, default=dflt(20), help="hcd optimizer starts")
+    hcd_opts.add_argument("--sweeps", type=int, default=dflt(100),
+                          help="hcd step budget per restart, in multiples of the null-space width")
+    hcd_opts.add_argument("--eps", type=float, default=dflt(1e-6),
+                          help="hcd stops a restart once a step moves the unit-norm null vector by at most this")
 
     parser = _Parser(prog="compwave", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,6 +364,18 @@ def cmd_polar(args) -> None:
         scattering = ScatteringMatrix(*(complex(tok) for tok in args.scattering))
     except ValueError as exc:
         raise CliError(f"bad --scattering value: {exc}") from exc
+    # every sample is checked against the axes before any map is computed
+    points = []
+    for lag_str, angle_str in args.sample or []:
+        lag_val = float(lag_str)
+        if not lag_val.is_integer():
+            raise CliError(f"sample lag must be an integer, got {lag_str}")
+        lag = int(lag_val)
+        if not -(pair.length - 1) <= lag <= pair.length - 1:
+            raise CliError(f"sample lag {lag} outside [-{pair.length - 1}, {pair.length - 1}]")
+        angle = float(angle_str)
+        _grid_index(angles, angle)
+        points.append((lag, angle))
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
     for name, channel in amb.channels.items():
         channel.to_csv(out / f"{prefix}_{name}.csv")
@@ -360,12 +383,7 @@ def cmd_polar(args) -> None:
         channel.save_metadata(out / f"{prefix}_{name}_meta.json")
         print(f"wrote {out / f'{prefix}_{name}.csv'} (+db, +meta)")
     samples = []
-    for lag_str, angle_str in args.sample or []:
-        lag_val = float(lag_str)
-        if lag_val != int(lag_val):
-            raise CliError(f"sample lag must be an integer, got {lag_str}")
-        lag = int(lag_val)
-        angle = float(angle_str)
+    for lag, angle in points:
         u = output_matrix(scattering, amb, lag, angle)
         samples.append({
             "lag": lag,

@@ -211,6 +211,10 @@ class WaveformDesign:
             "w": [[float(c.real), float(c.imag)] for c in self.w],
             "residual": None if self.residual is None else float(self.residual),
         }
+        # angles are stored only when the interval and M do not rebuild them
+        if grid is not None and not np.array_equal(
+                grid.angles, ResilienceGrid.uniform(*grid.interval, grid.m).angles):
+            out["angles"] = grid.angles.tolist()
         if self.scheme is not None:
             out["scheme"] = self.scheme
         return out
@@ -226,7 +230,11 @@ class WaveformDesign:
             grid = None
             if data.get("interval") is not None:
                 lo, hi = data["interval"]
-                grid = ResilienceGrid.uniform(lo, hi, int(data["M"]), kind=data.get("kind") or "doppler")
+                kind = data.get("kind") or "doppler"
+                if data.get("angles") is not None:
+                    grid = ResilienceGrid(data["angles"], kind=kind, interval=(lo, hi))
+                else:
+                    grid = ResilienceGrid.uniform(lo, hi, int(data["M"]), kind=kind)
             return cls(p=p, w=w, grid=grid, residual=data.get("residual"), scheme=data.get("scheme"))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed design payload: {exc}") from exc

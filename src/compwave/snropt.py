@@ -12,12 +12,18 @@ lambda directly, minimizing the reciprocal
     g(lambda) = ||Z lambda||_2^2 / ||Z lambda||_1^2.
 
 Two searchers are provided: picking the basis column with the largest
-1-norm (``basis_selection``), and a restarted cyclic coordinate descent
-over complex lambda (``coordinate_descent``, alias ``hcd``).  g is
-scale-invariant, non-convex, and cheap per evaluation, so each scalar
-sub-problem is solved derivative-free: a coarse magnitude/phase grid
-around the incumbent followed by golden-section refinement on the real
-and imaginary parts.
+1-norm (``basis_selection``), and a restarted fixed-point L1 ascent
+over complex lambda (``coordinate_descent``, alias ``hcd``; the names
+are kept from an earlier coordinate-descent searcher).  With Q an
+orthonormal basis of range(Z) and v = Q mu on the unit sphere, g is
+1/||v||_1^2, and the complex analogue of Kwak's L1-PCA iteration
+(IEEE TPAMI 30(9), 2008)
+
+    u = phase(Q mu),      mu <- Q^H u / ||Q^H u||
+
+never lowers ||Q mu||_1: the new mu maximizes Re(u^H Q mu) on the
+sphere, and ||Q mu||_1 >= Re(u^H Q mu) for every unimodular u.  Each
+step costs one matrix-vector product pair.
 """
 from __future__ import annotations
 
@@ -49,7 +55,10 @@ def snr_ratio(w) -> float:
     ww = np.asarray(w, dtype=complex).ravel()
     if not np.any(ww != 0):
         raise ValueError("snr_ratio undefined for the zero vector")
-    mags = np.abs(ww)
+    return _ratio(np.abs(ww))
+
+
+def _ratio(mags: np.ndarray) -> float:
     l1 = mags.sum()
     return float(l1 * l1 / (mags * mags).sum())
 
@@ -68,79 +77,25 @@ def basis_selection(Z: np.ndarray) -> np.ndarray:
 
 
 def _objective(v: np.ndarray) -> float:
-    """g = ||v||_2^2 / ||v||_1^2; +inf at v = 0 so zero is never accepted."""
-    mags = np.abs(v)
-    l1 = mags.sum()
-    if l1 == 0.0:
-        return math.inf
-    return float((mags * mags).sum() / (l1 * l1))
+    """g = 1 / snr_ratio(v); +inf at v = 0 so zero is never accepted.
 
-
-def _golden_min(f, a: float, b: float, iters: int = 40):
-    """Golden-section minimum of f on [a, b]; returns (argmin, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def _minimize_coordinate(base: np.ndarray, zu: np.ndarray, lam_u: complex, g_cur: float):
-    """Best value for one coordinate with the others frozen.
-
-    ``base`` is Z lambda minus this coordinate's contribution, so each
-    candidate c evaluates as g(base + zu * c).  Coarse stage: 32 phases
-    x 17 log-spaced magnitudes (0 included) around the incumbent scale.
-    Refinement: alternating golden sections on Re and Im with a halving
-    bracket until the relative improvement drops below 1e-10.
+    Going through the same arithmetic as ``snr_ratio`` means a lower g
+    never reports a lower ratio, so the optimizer's winner is never
+    below the basis-selection vertex it starts from, not even by an ulp.
     """
-    scale = max(abs(lam_u), 1e-3)
-    mags = np.concatenate([[0.0], scale * np.logspace(-2.0, 2.0, 16)])
-    phases = np.exp(2j * np.pi * np.arange(32) / 32)
-    cands = np.concatenate([[lam_u], np.outer(mags, phases).ravel()])
-    V = base[:, None] + np.outer(zu, cands)
-    absV = np.abs(V)
-    l1 = absV.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(l1 > 0, (absV * absV).sum(axis=0) / (l1 * l1), np.inf)
-    i = int(np.argmin(g))
-    best, g_best = complex(cands[i]), float(g[i])
-
-    def eval_at(c: complex) -> float:
-        return _objective(base + zu * c)
-
-    step = max(abs(best), scale)
-    g_prev = g_best
-    for _ in range(60):
-        t, gt = _golden_min(lambda r: eval_at(complex(r, best.imag)), best.real - step, best.real + step)
-        if gt < g_best:
-            best, g_best = complex(t, best.imag), gt
-        t, gt = _golden_min(lambda s: eval_at(complex(best.real, s)), best.imag - step, best.imag + step)
-        if gt < g_best:
-            best, g_best = complex(best.real, t), gt
-        step *= 0.5
-        if g_prev - g_best <= 1e-10 * max(abs(g_prev), 1e-300):
-            break
-        g_prev = g_best
-    return best, g_best
+    mags = np.abs(v)
+    if not mags.any():
+        return math.inf
+    return 1.0 / _ratio(mags)
 
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    """Outcome of a coordinate-descent run, winner plus full audit trail.
+    """Outcome of an optimizer run, winner plus full audit trail.
 
-    ``traces[r]`` lists the objective after every coordinate decision of
-    restart r; each is non-increasing because updates that fail to
-    strictly decrease the objective are reverted.  ``snr`` is the ratio
+    ``traces[r]`` lists the objective after every step of restart r; each
+    is non-increasing because a step that fails to strictly decrease the
+    objective is rejected and ends the restart.  ``snr`` is the ratio
     1/objective of the winning lambda.
     """
 
@@ -183,51 +138,60 @@ def coordinate_descent(
     seed: int = None,
     metadata: dict = None,
 ) -> OptimizerReport:
-    """Restarted cyclic coordinate descent on g(lambda) over complex lambda.
+    """Restarted fixed-point L1 ascent on g(lambda) over complex lambda.
 
     Restart 0 starts at the basis-selection vertex, so the returned ratio
     never falls below basis selection's; the remaining restarts draw
-    standard complex Gaussian starts from a seeded generator.  lambda is
-    rescaled to ||Z lambda||_2 = 1 after each sweep (harmless by scale
-    invariance) and a restart stops early once the sweep moves lambda by
-    no more than ``eps`` in 2-norm.
+    standard complex Gaussian starts from a seeded generator.  Z is
+    orthonormalized once by QR, so its columns need only be linearly
+    independent.  Each restart takes at most ``sweeps`` x U steps
+    (U = basis width) and stops early when a step fails to strictly
+    decrease g or moves the unit vector Z lambda by no more than
+    ``eps`` in 2-norm.  A rejected step is recorded in the trace with
+    the unchanged g and leaves lambda as it was, so a restart that
+    accepts no step returns its start.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    n_rows, width = Z.shape
+    width = Z.shape[1]
     if Z.size == 0 or width < 1:
         raise ValueError("empty basis")
     if restarts < 1 or sweeps < 1:
         raise ValueError("restarts and sweeps must be at least 1")
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if np.linalg.matrix_rank(Z) < width:
+        raise ValueError("basis columns are linearly dependent")
     rng = np.random.default_rng(seed)
     vertex = int(np.argmax(np.abs(Z).sum(axis=0)))
+    Q, R = np.linalg.qr(Z)
 
     best_lam, best_g, best_r = None, math.inf, -1
     traces = []
     for r in range(restarts):
-        if r == 0:
-            lam = np.zeros(width, dtype=complex)
-            lam[vertex] = 1.0
-        else:
-            lam = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-            if not np.any(Z @ lam != 0):
-                lam = np.zeros(width, dtype=complex)
-                lam[vertex] = 1.0
-        lam = lam / np.linalg.norm(Z @ lam)
-        g_cur = _objective(Z @ lam)
+        # restart 0 is the vertex itself, unscaled, so Z lambda is its column bit for bit
+        lam = np.zeros(width, dtype=complex)
+        lam[vertex] = 1.0
+        if r > 0:
+            draw = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            if np.any(Z @ draw != 0):
+                lam = draw / np.linalg.norm(Z @ draw)
+        v = Z @ lam
+        g_cur = _objective(v)
         trace = [g_cur]
-        for _ in range(sweeps):
-            lam_prev = lam.copy()
-            for u in range(width):
-                base = Z @ lam - Z[:, u] * lam[u]
-                cand, g_new = _minimize_coordinate(base, Z[:, u], complex(lam[u]), g_cur)
-                if g_new < g_cur:
-                    lam[u] = cand
-                    g_cur = g_new
+        for _ in range(sweeps * width):
+            mags = np.abs(v)
+            u = np.divide(v, mags, out=np.ones_like(v), where=mags > 0)
+            mu = Q.conj().T @ u
+            cand = np.linalg.solve(R, mu / np.linalg.norm(mu))
+            v_new = Z @ cand
+            g_new = _objective(v_new)
+            if not g_new < g_cur:
                 trace.append(g_cur)
-            lam = lam / np.linalg.norm(Z @ lam)
-            if np.linalg.norm(lam - lam_prev) <= eps:
+                break
+            step = np.linalg.norm(v_new - v)
+            lam, v, g_cur = cand, v_new, g_new
+            trace.append(g_cur)
+            if step <= eps:
                 break
         traces.append(trace)
         if g_cur < best_g:

@@ -54,7 +54,7 @@ def point_prsl(pair, design, reference_peak, thetas):
 
 @pytest.fixture(scope="module")
 def snr_sweep():
-    """BS and restarted coordinate descent across train lengths on [0, 2]."""
+    """BS and the restarted L1 ascent (``coordinate_descent``) across train lengths on [0, 2]."""
     results = {}
     for n in SWEEP_SIZES:
         grid = ResilienceGrid.uniform(0.0, 2.0, n - 1)

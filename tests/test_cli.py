@@ -6,11 +6,15 @@ import pytest
 
 from compwave import (
     GolayPair,
+    ResilienceGrid,
     ScatteringMatrix,
     WaveformDesign,
     binomial_design,
+    design_from_vector,
+    design_matrix,
     evaluation_grid,
     is_golay_pair,
+    null_space_basis,
     output_matrix,
     polarimetric_ambiguities,
 )
@@ -112,6 +116,13 @@ class TestEvaluateCommand:
         bad.write_text("this is not json")
         assert run("evaluate", "--out-dir", tmp_path, "--design", bad) == 1
 
+    def test_non_uniform_grid_design(self, tmp_path):
+        grid = ResilienceGrid([0.0, 0.1, 0.2, 1.9, 2.0], interval=(0.0, 2.0))
+        path = tmp_path / "nonuniform.json"
+        design_from_vector(null_space_basis(design_matrix(grid, 8))[:, 0], grid).save(path)
+        assert run("evaluate", "--out-dir", tmp_path, "--design", path, "--points", 21) == 0
+        assert (tmp_path / "nonuniform_prsl.csv").exists()
+
     def test_tampered_design_rejected(self, tmp_path):
         path = make_design(tmp_path)
         data = json.loads(path.read_text())
@@ -189,6 +200,19 @@ class TestPolarCommand:
         got = np.array([[complex(re, im) for re, im in row] for row in samples[1]["U"]])
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
+    def test_negative_scattering_literals(self, tmp_path, pair64):
+        path = make_design(tmp_path)
+        coeffs = ("-0.5+0.1j", "-1j", "(-0.25-0.5j)", "-2")
+        assert run("polar", "--out-dir", tmp_path, "--design", path, "--points", 9,
+                   "--scattering", *coeffs, "--sample", -3, 1.0) == 0
+        samples = json.loads((tmp_path / "design_polar_u_samples.json").read_text())
+        design = WaveformDesign.load(path)
+        amb = polarimetric_ambiguities(pair64, design.p, design.w, evaluation_grid(0, 2, 9))
+        scattering = ScatteringMatrix(-0.5 + 0.1j, -1j, -0.25 - 0.5j, -2.0)
+        expected = output_matrix(scattering, amb, -3, 1.0)
+        got = np.array([[complex(re, im) for re, im in row] for row in samples[0]["U"]])
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_bad_scattering_value(self, tmp_path):
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
@@ -198,11 +222,21 @@ class TestPolarCommand:
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--sample", 0.5, 0.0) == 1
+        assert not list(tmp_path.glob("*_vv.csv"))
 
     def test_off_grid_sample_angle(self, tmp_path):
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--points", 9, "--sample", 0, 0.123) == 1
+        assert run("polar", "--out-dir", tmp_path, "--design", path,
+                   "--points", 9, "--sample", 0, "nan") == 1
+        assert not list(tmp_path.glob("*_vv.csv"))
+
+    def test_sample_lag_out_of_range(self, tmp_path):
+        path = make_design(tmp_path)
+        assert run("polar", "--out-dir", tmp_path, "--design", path,
+                   "--points", 9, "--sample", 64, 0.0) == 1
+        assert not list(tmp_path.glob("*_vv.csv"))
 
 
 class TestGolayGenCommand:

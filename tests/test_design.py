@@ -256,6 +256,29 @@ class TestWaveformDesign:
         assert len(data["p"]) == 48 and set(data["p"]) <= {1, -1}
         assert len(data["w"]) == 48 and len(data["w"][0]) == 2
 
+    def test_uniform_grid_stores_no_angles(self, tmp_path, design_02):
+        import json
+
+        path = tmp_path / "design.json"
+        design_02.save(path)
+        assert "angles" not in json.loads(path.read_text())
+
+    def test_round_trip_non_uniform_grid(self, tmp_path):
+        grid = ResilienceGrid([0.0, 0.1, 0.2, 1.9, 2.0], interval=(0.0, 2.0), kind="delay")
+        design = design_from_vector(null_space_basis(design_matrix(grid, 8))[:, 0], grid)
+        path = tmp_path / "design.json"
+        design.save(path)
+        loaded = WaveformDesign.load(path)
+        assert np.array_equal(loaded.grid.angles, grid.angles)
+        assert loaded.grid.interval == grid.interval and loaded.grid.kind == "delay"
+        assert validate_design(loaded).ok
+
+    def test_reads_files_without_angles(self, tmp_path, design_02):
+        data = design_02.to_dict()
+        data.pop("angles", None)
+        loaded = WaveformDesign.from_dict(data)
+        assert np.array_equal(loaded.grid.angles, design_02.grid.angles)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

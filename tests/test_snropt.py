@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compwave import (
     ResilienceGrid,
@@ -169,6 +171,11 @@ class TestCoordinateDescent:
         with pytest.raises(ValueError):
             coordinate_descent(np.zeros((5, 0)))
 
+    def test_dependent_columns_rejected(self):
+        Z = np.array([[1.0, 2.0], [1j, 2j], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            coordinate_descent(Z)
+
     def test_report_round_trip(self, tmp_path, basis_16):
         _, Z = basis_16
         report = coordinate_descent(
@@ -184,3 +191,38 @@ class TestCoordinateDescent:
         lam = np.array([complex(re, im) for re, im in data["best_lambda"]])
         assert np.array_equal(lam, report.best_lambda)
         assert data["traces"] == report.traces
+
+
+def _random_basis(seed, n, width, orthonormal):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    return np.linalg.qr(Z)[0] if orthonormal else Z
+
+
+basis_draws = st.integers(2, 24).flatmap(
+    lambda n: st.tuples(
+        st.integers(0, 2**32 - 1), st.just(n), st.integers(1, min(n, 8)), st.booleans()
+    )
+)
+
+
+class TestOptimizerProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(basis_draws)
+    def test_ascent_invariants(self, draw):
+        seed, n, width, orthonormal = draw
+        Z = _random_basis(seed, n, width, orthonormal)
+        report = coordinate_descent(Z, restarts=3, seed=seed)
+        for trace in report.traces:
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert snr_ratio(Z @ report.best_lambda) >= snr_ratio(basis_selection(Z))
+
+        # a restart that ends inside its step budget ends at a fixed point
+        # of u = phase(Q mu), mu <- Q^H u / ||Q^H u||, Q orthonormal
+        if len(report.traces[report.winner]) - 1 < 100 * width:
+            Q = np.linalg.qr(Z)[0]
+            v = Z @ report.best_lambda
+            mu = Q.conj().T @ v
+            step = Q.conj().T @ (v / np.abs(v))
+            gap = np.linalg.norm(step / np.linalg.norm(step) - mu / np.linalg.norm(mu))
+            assert gap <= 1e-6
