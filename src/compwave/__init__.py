@@ -45,6 +45,7 @@ from .ambiguity import (
     evaluation_grid,
     sidelobe_metrics,
     slow_time_response,
+    write_columns_csv,
     write_two_column_csv,
 )
 from .snropt import (
@@ -96,6 +97,7 @@ __all__ = [
     "evaluation_grid",
     "sidelobe_metrics",
     "slow_time_response",
+    "write_columns_csv",
     "write_two_column_csv",
     "OptimizerReport",
     "basis_selection",

@@ -34,19 +34,33 @@ __all__ = [
     "delay_ambiguity",
     "SidelobeMetrics",
     "sidelobe_metrics",
+    "write_columns_csv",
     "write_two_column_csv",
 ]
 
 
-def _fmt(v) -> str:
-    """Float cell with 17 significant digits (exact float64 round trip)."""
-    return format(float(v), ".17g")
+_CELL = "%.17g"  # float CSV cell: 17 significant digits, an exact float64 round trip
+_COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by complex()
 
 
-def _fmtc(c) -> str:
-    """Complex cell as re+imj, parseable by Python's complex()."""
-    c = complex(c)
-    return f"{c.real:.17g}{c.imag:+.17g}j"
+def _write_matrix_csv(path, header: str, cells: np.ndarray, cell_fmt: str = _CELL, lags=None) -> None:
+    """Stream ``header``, then each row of the 2-D float array ``cells`` as one printf.
+
+    ``cell_fmt`` is repeated across the row and may take several floats
+    per cell.  Identical rows are formatted once, keyed on their bytes:
+    float equality would merge 0.0 and -0.0, which print as 0 and -0.
+    ``lags``, when given, are written as a first column.
+    """
+    template = ",".join([cell_fmt] * (cells.shape[1] // cell_fmt.count("%")))
+    done = {}
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i, row in enumerate(cells):
+            key = row.tobytes()
+            text = done.get(key)
+            if text is None:
+                text = done[key] = template % tuple(row.tolist())
+            fh.write(f"{text}\n" if lags is None else f"{lags[i]},{text}\n")
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -168,29 +182,28 @@ class AmbiguityMap:
 
     def to_csv(self, path) -> None:
         """Complex values; header row of angles, first column of lags."""
-        lines = ["lag," + ",".join(_fmt(a) for a in self.angles)]
-        for lag, row in zip(self.lags, self.values):
-            lines.append(f"{lag}," + ",".join(_fmtc(c) for c in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        self._write_csv(path, np.ascontiguousarray(self.values).view(float), _COMPLEX_CELL)
 
     def db_to_csv(self, path, reference: float = None) -> None:
         """dB magnitudes in the same layout as :meth:`to_csv`.
 
         Normalized to the map's own peak by default; pass ``reference``
         to express the map relative to an external peak (values may then
-        exceed 0 dB).
+        exceed 0 dB).  The reference must be finite and positive.
         """
         if reference is None:
             db = self.db
         else:
-            if reference <= 0:
-                raise ValueError("reference peak must be positive")
+            reference = float(reference)
+            if not (np.isfinite(reference) and reference > 0):
+                raise ValueError(f"reference peak must be finite and positive, got {reference}")
             with np.errstate(divide="ignore"):
-                db = 20.0 * np.log10(self.magnitude / float(reference))
-        lines = ["lag," + ",".join(_fmt(a) for a in self.angles)]
-        for lag, row in zip(self.lags, db):
-            lines.append(f"{lag}," + ",".join(_fmt(v) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+                db = 20.0 * np.log10(self.magnitude / reference)
+        self._write_csv(path, db, _CELL)
+
+    def _write_csv(self, path, cells, cell_fmt) -> None:
+        header = "lag," + ",".join([_CELL] * self.angles.size) % tuple(self.angles.tolist())
+        _write_matrix_csv(path, header, cells, cell_fmt, lags=self.lags.tolist())
 
     def save_metadata(self, path) -> None:
         Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
@@ -292,12 +305,14 @@ def sidelobe_metrics(amap: AmbiguityMap, reference_peak: float = None) -> Sidelo
     )
 
 
+def write_columns_csv(path, labels, columns) -> None:
+    """CSV of equal-length float columns, one per label, with 17-significant-digit cells."""
+    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
+    if len({c.size for c in cols}) > 1 or len(cols) != len(labels):
+        raise ValueError("column length mismatch: need equal-length columns, one per label")
+    _write_matrix_csv(path, ",".join(labels), np.column_stack(cols))
+
+
 def write_two_column_csv(path, first, second, labels=("angle", "value")) -> None:
     """Two-column CSV with 17-significant-digit cells."""
-    first = np.atleast_1d(np.asarray(first, dtype=float))
-    second = np.atleast_1d(np.asarray(second, dtype=float))
-    if first.size != second.size:
-        raise ValueError("column length mismatch")
-    lines = [f"{labels[0]},{labels[1]}"]
-    lines.extend(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(first, second))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_columns_csv(path, labels, (first, second))

@@ -32,8 +32,8 @@ from .ambiguity import (
     discrete_ambiguity,
     evaluation_grid,
     sidelobe_metrics,
+    write_columns_csv,
     write_two_column_csv,
-    _fmt,
     _grid_index,
 )
 from .baselines import binomial_design, ptm_schedule
@@ -317,38 +317,42 @@ def cmd_compare(args) -> None:
         profile_cols[name] = metrics.profile
     for stem, cols in (("prsl", prsl_cols), ("profile", profile_cols)):
         path = out / f"{args.prefix}_{stem}.csv"
-        header = "angle," + ",".join(cols)
-        lines = [header]
-        for i, angle in enumerate(angles):
-            lines.append(",".join([_fmt(angle)] + [_fmt(cols[name][i]) for name in cols]))
-        path.write_text("\n".join(lines) + "\n")
+        write_columns_csv(path, ["angle", *cols], [angles, *cols.values()])
         print(f"wrote {path}")
 
 
+def _sweep_row(n, method, interval, args) -> str:
+    """One ``n,method,snr_ratio`` row of an SNR sweep, the ratio to 17 significant digits."""
+    if method == "bd":
+        w = binomial_design(n).w
+    else:
+        w = _build_design(n, interval, None, "doppler", method, args.restarts, args.sweeps, args.eps, args.seed)[0].w
+    return f"{n},{method},{snr_ratio(w):.17g}"
+
+
 def cmd_snr_sweep(args) -> None:
+    bad = [n for n in args.n_list if n < 2]
+    if bad:
+        raise CliError(f"every swept N must be at least 2, got {bad[0]}")
     out = _out_dir(args)
     lines = ["n,method,snr_ratio"]
+    failed = []
     for n in args.n_list:
-        if n < 2:
-            raise CliError(f"every swept N must be at least 2, got {n}")
         for method in args.optimizers:
             try:
-                if method == "bd":
-                    ratio = snr_ratio(binomial_design(n).w)
-                else:
-                    design, _ = _build_design(
-                        n, tuple(args.interval), None, "doppler", method,
-                        args.restarts, args.sweeps, args.eps, args.seed,
-                    )
-                    ratio = snr_ratio(design.w)
-                lines.append(f"{n},{method},{_fmt(ratio)}")
+                lines.append(_sweep_row(n, method, tuple(args.interval), args))
             except (EmptyNullSpaceError, ValueError) as exc:
-                # missing cell, but the sweep goes on
+                # blank cell, but the sweep goes on; the exit code reports it
                 print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)
                 lines.append(f"{n},{method},")
+                failed.append((f"N={n} {method}", exc))
     path = out / args.out
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
+    if failed:
+        message = f"{len(failed)} sweep cell(s) failed: " + ", ".join(cell for cell, _ in failed)
+        numerical = all(isinstance(exc, EmptyNullSpaceError) for _, exc in failed)
+        raise EmptyNullSpaceError(message) if numerical else CliError(message)
 
 
 def cmd_polar(args) -> None:
@@ -376,7 +380,8 @@ def cmd_polar(args) -> None:
         angle = float(angle_str)
         _grid_index(angles, angle)
         points.append((lag, angle))
-    amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
+    amb = polarimetric_ambiguities(pair, design.p, design.w, angles,
+                                   kind="doppler" if design.grid is None else design.grid.kind)
     for name, channel in amb.channels.items():
         channel.to_csv(out / f"{prefix}_{name}.csv")
         channel.db_to_csv(out / f"{prefix}_{name}_db.csv")
@@ -415,61 +420,40 @@ def cmd_repro(args) -> None:
     pair = length64_pair()
     manifest = {"n": n, "points": args.points, "seed": args.seed, "outputs": []}
 
-    def note(path):
-        manifest["outputs"].append(path.name)
-        print(f"wrote {path}")
+    def emit(name, write, *extra):
+        """Write one artifact with ``write(path, *extra)`` and record it."""
+        write(out / name, *extra)
+        manifest["outputs"].append(name)
+        print(f"wrote {out / name}")
 
     # interval-limited design and its schedule/weight profiles
     interval_design = null_space_design(n, (0.0, 2.0))
-    interval_design.save(out / "interval_design.json")
-    note(out / "interval_design.json")
+    emit("interval_design.json", interval_design.save)
     idx = np.arange(n)
-    write_two_column_csv(out / "interval_schedule.csv", idx, interval_design.p, ("pulse", "p"))
-    note(out / "interval_schedule.csv")
-    write_two_column_csv(out / "interval_weight_magnitude.csv", idx, np.abs(interval_design.w), ("pulse", "abs_w"))
-    note(out / "interval_weight_magnitude.csv")
+    emit("interval_schedule.csv", write_two_column_csv, idx, interval_design.p, ("pulse", "p"))
+    emit("interval_weight_magnitude.csv", write_two_column_csv, idx, np.abs(interval_design.w), ("pulse", "abs_w"))
 
     angles_interval = evaluation_grid(0.0, 2.0, args.points)
     amap = discrete_ambiguity(pair, interval_design.p, interval_design.w, angles_interval)
-    amap.db_to_csv(out / "interval_map_db.csv")
-    note(out / "interval_map_db.csv")
-    amap.save_metadata(out / "interval_map_meta.json")
-    note(out / "interval_map_meta.json")
-    sidelobe_metrics(amap).prsl_to_csv(out / "interval_prsl.csv")
-    note(out / "interval_prsl.csv")
+    emit("interval_map_db.csv", amap.db_to_csv)
+    emit("interval_map_meta.json", amap.save_metadata)
+    emit("interval_prsl.csv", sidelobe_metrics(amap).prsl_to_csv)
 
     # full-interval design vs binomial baseline
     overall = null_space_design(n, (0.0, np.pi))
-    overall.save(out / "overall_design.json")
-    note(out / "overall_design.json")
+    emit("overall_design.json", overall.save)
     angles_overall = evaluation_grid(0.0, np.pi, args.points)
     columns = {}
     for name, design in (("ns", overall), ("bd", binomial_design(n)), ("ptm", ptm_schedule(n))):
         dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
         if name != "ptm":
-            dmap.db_to_csv(out / f"overall_{name}_map_db.csv")
-            note(out / f"overall_{name}_map_db.csv")
+            emit(f"overall_{name}_map_db.csv", dmap.db_to_csv)
         columns[name] = sidelobe_metrics(dmap).prsl_db
-    path = out / "overall_prsl_comparison.csv"
-    lines = ["angle," + ",".join(columns)]
-    for i, angle in enumerate(angles_overall):
-        lines.append(",".join([_fmt(angle)] + [_fmt(columns[name][i]) for name in columns]))
-    path.write_text("\n".join(lines) + "\n")
-    note(path)
+    emit("overall_prsl_comparison.csv", write_columns_csv, ["angle", *columns], [angles_overall, *columns.values()])
 
     # SNR sweep across methods
-    sweep_lines = ["n,method,snr_ratio"]
-    for n_i in args.n_list:
-        for method in SWEEP_METHODS:
-            if method == "bd":
-                ratio = snr_ratio(binomial_design(n_i).w)
-            else:
-                design, _ = _build_design(n_i, (0.0, 2.0), None, "doppler", method,
-                                          args.restarts, args.sweeps, args.eps, args.seed)
-                ratio = snr_ratio(design.w)
-            sweep_lines.append(f"{n_i},{method},{_fmt(ratio)}")
-    (out / "snr_vs_pulses.csv").write_text("\n".join(sweep_lines) + "\n")
-    note(out / "snr_vs_pulses.csv")
+    sweep = [_sweep_row(n_i, method, (0.0, 2.0), args) for n_i in args.n_list for method in SWEEP_METHODS]
+    emit("snr_vs_pulses.csv", Path.write_text, "\n".join(["n,method,snr_ratio", *sweep]) + "\n")
 
     # cross-polar channels, referenced to each run's co-polar mainlobe peak
     for tag, design, angles in (
@@ -478,9 +462,7 @@ def cmd_repro(args) -> None:
         ("bd", binomial_design(n), angles_overall),
     ):
         amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
-        reference = float(np.abs(amb.vv.mainlobe).max())
-        amb.vh.db_to_csv(out / f"polar_{tag}_vh_db.csv", reference=reference)
-        note(out / f"polar_{tag}_vh_db.csv")
+        emit(f"polar_{tag}_vh_db.csv", amb.vh.db_to_csv, float(np.abs(amb.vv.mainlobe).max()))
 
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out / 'manifest.json'}")

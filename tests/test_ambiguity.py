@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compwave import (
     AmbiguityMap,
@@ -12,6 +14,7 @@ from compwave import (
     generate_golay_pair,
     sidelobe_metrics,
     slow_time_response,
+    write_columns_csv,
     write_two_column_csv,
 )
 
@@ -265,8 +268,10 @@ class TestExports:
         amap.db_to_csv(path, reference=4.0)
         rows = path.read_text().strip().split("\n")
         assert float(rows[2].split(",")[1]) == pytest.approx(20 * np.log10(0.5))
-        with pytest.raises(ValueError):
-            amap.db_to_csv(path, reference=0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                amap.db_to_csv(tmp_path / "bad.csv", reference=bad)
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_metadata_sidecar(self, tmp_path, pair64, design_02):
         angles = evaluation_grid(0.0, 2.0, 11)
@@ -301,3 +306,94 @@ class TestExports:
     def test_two_column_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_two_column_csv(tmp_path / "x.csv", [1.0], [1.0, 2.0])
+
+    def test_columns_csv_label_mismatch(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns_csv(tmp_path / "x.csv", ["a", "b"], [[1.0]])
+
+
+# Byte-exact oracle for the CSV writers: the per-cell formatters below are
+# the file format's definition, applied one cell at a time.
+def ref_float(v) -> str:
+    return format(float(v), ".17g")
+
+
+def ref_complex(c) -> str:
+    c = complex(c)
+    return f"{c.real:.17g}{c.imag:+.17g}j"
+
+
+def ref_map_csv(angles, values, cell) -> str:
+    L = (len(values) + 1) // 2
+    lines = ["lag," + ",".join(ref_float(a) for a in angles)]
+    for lag, row in zip(range(-(L - 1), L), values):
+        lines.append(f"{lag}," + ",".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.0, -0.1, 1e300]
+floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _negate_zeros(a):
+    return np.where(a == 0, -a, a)
+
+
+@st.composite
+def repeated_row_maps(draw):
+    """Maps whose rows repeat, including a pair of rows that differ only in
+    the sign of a zero; cells mix +-0, +-inf, nan and subnormals."""
+    L = draw(st.integers(2, 4))
+    cols = draw(st.integers(1, 4))
+    cells = st.lists(floats, min_size=2 * cols, max_size=2 * cols)
+    distinct = [np.array(draw(cells)) for _ in range(draw(st.integers(1, 3)))]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2 * L - 1, max_size=2 * L - 1))
+    rows = [distinct[i] for i in picks]
+    rows[0] = np.concatenate([[0.0], rows[0][1:]])
+    rows[1] = _negate_zeros(rows[0])
+    rows[-1] = rows[0]
+    values = np.array(rows).view(complex)
+    angles = np.array(draw(st.lists(floats, min_size=cols, max_size=cols)))
+    return AmbiguityMap(values=values, angles=angles)
+
+
+EDGE_MAP = AmbiguityMap(
+    values=np.array([[0.0, complex(-0.0, 5e-324)],
+                     [complex(np.inf, -0.0), complex(np.nan, 1.0)],
+                     [complex(-0.0, 0.0), complex(-0.0, 5e-324)]]),
+    angles=[-0.0, 2.2250738585072014e-308],
+)
+
+
+class TestCsvOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(amap=repeated_row_maps(), reference=st.floats(min_value=5e-324, max_value=1e308))
+    @example(amap=EDGE_MAP, reference=1.0)
+    def test_map_writers_match_per_cell_reference(self, tmp_path_factory, amap, reference):
+        out = tmp_path_factory.mktemp("oracle")
+        amap.to_csv(out / "map.csv")
+        assert (out / "map.csv").read_text() == ref_map_csv(amap.angles, amap.values, ref_complex)
+        mag = np.abs(amap.values)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            amap.db_to_csv(out / "ref.csv", reference=reference)
+            expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / reference), ref_float)
+            assert (out / "ref.csv").read_text() == expected
+            if mag.max() == 0:
+                with pytest.raises(ValueError):
+                    amap.db_to_csv(out / "db.csv")
+                return
+            amap.db_to_csv(out / "db.csv")
+            expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / mag.max()), ref_float)
+        assert (out / "db.csv").read_text() == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from(SPECIAL), min_size=k, max_size=k), min_size=1, max_size=6)))
+    def test_column_writer_matches_per_cell_reference(self, tmp_path_factory, rows):
+        rows.append([-v if v == 0 else v for v in rows[0]])
+        cols = list(zip(*rows))
+        labels = [f"c{i}" for i in range(len(cols))]
+        path = tmp_path_factory.mktemp("oracle") / "cols.csv"
+        write_columns_csv(path, labels, cols)
+        expected = [",".join(labels)] + [",".join(ref_float(v) for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import compwave.cli
 from compwave import (
+    EmptyNullSpaceError,
     GolayPair,
     ResilienceGrid,
     ScatteringMatrix,
@@ -183,6 +185,23 @@ class TestSnrSweepCommand:
     def test_bad_n_rejected(self, tmp_path):
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 1) == 1
 
+    @pytest.mark.parametrize("error, code", [(EmptyNullSpaceError, 2), (ValueError, 1)])
+    def test_failed_cell_writes_table_and_exits_nonzero(self, tmp_path, monkeypatch, capsys, error, code):
+        build = compwave.cli._build_design
+
+        def failing(n, interval, m, kind, optimizer, *rest):
+            if (n, optimizer) == (12, "bs"):
+                raise error("forced failure")
+            return build(n, interval, m, kind, optimizer, *rest)
+
+        monkeypatch.setattr(compwave.cli, "_build_design", failing)
+        assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12,
+                   "--optimizers", "bs", "bd", "--out", "sweep.csv") == code
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 5 and "12,bs," in rows
+        assert all(row.split(",")[2] for row in rows[1:] if row != "12,bs,")
+        assert "1 sweep cell(s) failed: N=12 bs" in capsys.readouterr().err
+
 
 class TestPolarCommand:
     def test_channel_files_and_samples(self, tmp_path, pair64):
@@ -212,6 +231,16 @@ class TestPolarCommand:
         expected = output_matrix(scattering, amb, -3, 1.0)
         got = np.array([[complex(re, im) for re, im in row] for row in samples[0]["U"]])
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_delay_design_keeps_its_kind(self, tmp_path, pair64):
+        path = make_design(tmp_path, kind="delay", out="delay.json")
+        assert run("polar", "--out-dir", tmp_path, "--design", path, "--points", 9) == 0
+        design = WaveformDesign.load(path)
+        amb = polarimetric_ambiguities(pair64, design.p, design.w, evaluation_grid(0, 2, 9), kind="delay")
+        for name, channel in amb.channels.items():
+            meta = json.loads((tmp_path / f"delay_polar_{name}_meta.json").read_text())
+            assert meta["kind"] == "delay"
+            assert meta == channel.metadata()
 
     def test_bad_scattering_value(self, tmp_path):
         path = make_design(tmp_path)
