@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .design import _phase_matrix
 from .golay import as_biphase, is_golay_pair
 
 __all__ = [
@@ -66,8 +67,7 @@ def _write_matrix_csv(path, header: str, cells: np.ndarray, cell_fmt: str = _CEL
 def slow_time_response(coeffs, angles) -> np.ndarray:
     """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each angle."""
     v = np.asarray(coeffs, dtype=complex).ravel()
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    return np.exp(1j * np.outer(ang, np.arange(v.size))) @ v
+    return _phase_matrix(np.atleast_1d(np.asarray(angles, dtype=float)), v.size) @ v
 
 
 def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
@@ -154,11 +154,14 @@ class AmbiguityMap:
 
     @property
     def db(self) -> np.ndarray:
-        """20 log10 of the magnitude, normalized so the global peak is 0 dB."""
+        """20 log10 of the magnitude, normalized so the global peak is 0 dB.
+
+        A zero, nan or infinite peak has no normalization: ``ValueError``.
+        """
         mag = self.magnitude
         peak = mag.max()
-        if peak == 0:
-            raise ValueError("all-zero map has no dB normalization")
+        if not (np.isfinite(peak) and peak > 0):
+            raise ValueError(f"map peak must be finite and positive for a dB normalization, got {peak}")
         with np.errstate(divide="ignore"):
             return 20.0 * np.log10(mag / peak)
 
@@ -209,21 +212,37 @@ class AmbiguityMap:
         Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
 
 
-def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
+def _two_terms(pair, p, w, angles):
+    """The validated inputs and the two terms of A(k, theta) = even + odd.
+
+    Returns (x, y, angles, N, f_w, f_z, even, odd) with the lag x angle
+    arrays even = 1/2 (C_x + C_y)[k] f_w(theta) and
+    odd = 1/2 (C_x - C_y)[k] f_z(theta).  f_w and f_z are two mat-vecs on
+    one phase matrix; a single matmul over both may round differently.
+    """
     x, y = _pair_arrays(pair)
     pp, ww = _schedule_weights(p, w)
     ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    cx = np.correlate(x, x, "full")
-    cy = np.correlate(y, y, "full")
-    phases = np.exp(1j * np.outer(ang, np.arange(pp.size)))
+    phases = _phase_matrix(ang, pp.size)
     fw = phases @ ww
     fz = phases @ (pp * ww)
+    cx = np.correlate(x, x, "full")
+    cy = np.correlate(y, y, "full")
+    even = 0.5 * np.outer(cx + cy, fw)
+    odd = 0.5 * np.outer(cx - cy, fz)
+    return x, y, ang, int(pp.size), fw, fz, even, odd
+
+
+def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
+    x, _, ang, n, fw, _, even, odd = _two_terms(pair, p, w, angles)
+    # both branches work in place, so a map peaks at two lag x angle arrays
     if closed_form:
-        values = 0.5 * np.outer(cx - cy, fz)
+        values = odd
         values[x.size - 1, :] = x.size * fw
     else:
-        values = 0.5 * np.outer(cx + cy, fw) + 0.5 * np.outer(cx - cy, fz)
-    return AmbiguityMap(values=values, angles=ang, kind=kind, n_pulses=int(pp.size))
+        values = even
+        values += odd
+    return AmbiguityMap(values=values, angles=ang, kind=kind, n_pulses=n)
 
 
 def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:

@@ -265,9 +265,22 @@ def cmd_design(args) -> None:
     print(f"snr_ratio {snr_ratio(design.w):.6f}  residual {design.residual:.3e}")
 
 
-def _evaluate_design(design, pair, angles, out, prefix) -> None:
-    amap = discrete_ambiguity(pair, design.p, design.w, angles,
-                              kind="doppler" if design.grid is None else design.grid.kind)
+def _load_design(args):
+    """The stored design named by ``--design`` and its axis kind; rejects an unusable one."""
+    design = WaveformDesign.load(args.design)
+    if design.grid is not None and not validate_design(design).ok:
+        raise CliError(f"stored design {args.design} fails its usability conditions")
+    return design, "doppler" if design.grid is None else design.grid.kind
+
+
+def cmd_evaluate(args) -> None:
+    _require(args, "design")
+    out = _out_dir(args)
+    design, kind = _load_design(args)
+    pair = _resolve_pair(args)
+    angles = _eval_angles(args, design)
+    prefix = args.prefix or Path(args.design).stem
+    amap = discrete_ambiguity(pair, design.p, design.w, angles, kind=kind)
     metrics = sidelobe_metrics(amap)
     paths = {
         "map": out / f"{prefix}_map.csv",
@@ -286,18 +299,6 @@ def _evaluate_design(design, pair, angles, out, prefix) -> None:
     finite = metrics.prsl_db[np.isfinite(metrics.prsl_db)]
     if finite.size:
         print(f"prsl_db min {finite.min():.2f}  max {finite.max():.2f}")
-
-
-def cmd_evaluate(args) -> None:
-    _require(args, "design")
-    out = _out_dir(args)
-    design = WaveformDesign.load(args.design)
-    if design.grid is not None and not validate_design(design).ok:
-        raise CliError(f"stored design {args.design} fails its usability conditions")
-    pair = _resolve_pair(args)
-    angles = _eval_angles(args, design)
-    prefix = args.prefix or Path(args.design).stem
-    _evaluate_design(design, pair, angles, out, prefix)
 
 
 def cmd_compare(args) -> None:
@@ -334,6 +335,9 @@ def cmd_snr_sweep(args) -> None:
     bad = [n for n in args.n_list if n < 2]
     if bad:
         raise CliError(f"every swept N must be at least 2, got {bad[0]}")
+    lo, hi = args.interval
+    if not lo <= hi:
+        raise CliError(f"--interval endpoints out of order: [{lo}, {hi}]")
     out = _out_dir(args)
     lines = ["n,method,snr_ratio"]
     failed = []
@@ -358,9 +362,7 @@ def cmd_snr_sweep(args) -> None:
 def cmd_polar(args) -> None:
     _require(args, "design")
     out = _out_dir(args)
-    design = WaveformDesign.load(args.design)
-    if design.grid is not None and not validate_design(design).ok:
-        raise CliError(f"stored design {args.design} fails its usability conditions")
+    design, kind = _load_design(args)
     pair = _resolve_pair(args)
     angles = _eval_angles(args, design)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
@@ -380,8 +382,7 @@ def cmd_polar(args) -> None:
         angle = float(angle_str)
         _grid_index(angles, angle)
         points.append((lag, angle))
-    amb = polarimetric_ambiguities(pair, design.p, design.w, angles,
-                                   kind="doppler" if design.grid is None else design.grid.kind)
+    amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
     for name, channel in amb.channels.items():
         channel.to_csv(out / f"{prefix}_{name}.csv")
         channel.db_to_csv(out / f"{prefix}_{name}_db.csv")

@@ -106,7 +106,12 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
     angles = grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
-    return np.exp(1j * np.outer(angles, np.arange(n_pulses)))
+    return _phase_matrix(angles, n_pulses)
+
+
+def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
+    """exp(j n theta_m), shape (M, N): the one phase matrix of designs and slow-time responses."""
+    return np.exp(1j * np.outer(angles, np.arange(n)))
 
 
 def null_space_basis(matrix: np.ndarray, rtol: float = None) -> np.ndarray:

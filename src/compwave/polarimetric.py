@@ -4,19 +4,21 @@ Transmitting the pair on two orthogonal polarizations under a shared
 +/-1 schedule (x on V when p_n = +1 and on H otherwise, with the
 time-reversed partner sequences on the opposite channel) yields four
 discrete cross-ambiguity channels: the co-polar maps VV and HH and the
-cross-polar maps VH and HV.  The co-polar maps share the single-antenna
-two-term structure and differ only in the sign of the schedule term;
-the cross-polar maps collapse to
+cross-polar maps VH and HV.  With the two terms of the single-antenna
+map, even = 1/2 (C_x + C_y) f_w and odd = 1/2 (C_x - C_y) f_z,
 
+    VV = even + odd,    HH = even - odd,
     VH(k, theta) = C_xy[k] f_z(theta),
-    HV(k, theta) = C_yx[k] f_z(theta),
+    HV(k, theta) = C_yx[k] f_z(theta).
 
-because the reversal correlations obey C_yrev,xrev = C_xy and
-C_xrev,yrev = C_yx (checked numerically on every call against the
-unreduced two-term forms).  One condition therefore governs everything:
-if f_z vanishes on the grid, the co-polar sidelobes and both
-cross-polar channels vanish together, and the scattering matrix can be
-read off the output matrix U = H [[VV, VH], [HV, HH]].
+The cross-polar maps reduce to a single term because the reversal
+correlations of any two real sequences obey C_yrev,xrev = C_xy and
+C_xrev,yrev = C_yx; the tests check these identities bit for bit and
+every channel against a per-pulse construction.  One condition
+therefore governs everything: if f_z vanishes on the grid, the co-polar
+sidelobes and both cross-polar channels vanish together, and the
+scattering matrix can be read off the output matrix
+U = H [[VV, VH], [HV, HH]].
 """
 from __future__ import annotations
 
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityMap, discrete_ambiguity, slow_time_response
+from .ambiguity import AmbiguityMap, _schedule_weights, _two_terms, slow_time_response
 from .design import ResilienceGrid
-from .golay import as_biphase
 
 __all__ = [
     "ScatteringMatrix",
@@ -81,51 +82,24 @@ class PolarimetricAmbiguity:
 def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> PolarimetricAmbiguity:
     """All four channel maps for a pair under schedule p and weights w.
 
-    VV is computed by :func:`~compwave.ambiguity.discrete_ambiguity` and
-    is bit-identical to the single-antenna map.  The cross-polar maps
-    are built from their reduced single-term forms after verifying,
-    on this very input, that those agree with the unreduced two-term
-    forms involving the reversal correlations.
+    All four come from one two-term evaluation (the one
+    :func:`~compwave.ambiguity.discrete_ambiguity` uses), so VV is
+    bit-identical to the single-antenna map.  The cross-polar maps are
+    built from their reduced single-term forms; the reversal identities
+    behind that reduction are covered by the tests, not checked per call.
     """
-    x, y = pair
-    x, y = as_biphase(x), as_biphase(y)
-    if x.size != y.size:
-        raise ValueError(f"pair length mismatch: {x.size} vs {y.size}")
-    pp = as_biphase(p)
-    ww = np.asarray(w, dtype=complex).ravel()
-    if pp.size != ww.size:
-        raise ValueError(f"schedule/weight length mismatch: {pp.size} vs {ww.size}")
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
+    x, y, ang, n, _, fz, even, odd = _two_terms(pair, p, w, angles)
+    vv = even + odd
+    even -= odd  # HH = even - odd, in place: one lag x angle array fewer at the peak
 
-    vv = discrete_ambiguity((x, y), pp, ww, ang, kind=kind)
+    def channel(values):
+        return AmbiguityMap(values=values, angles=ang, kind=kind, n_pulses=n)
 
-    cx = np.correlate(x, x, "full")
-    cy = np.correlate(y, y, "full")
-    cxy = np.correlate(x, y, "full")
-    cyx = np.correlate(y, x, "full")
-    c_yr_xr = np.correlate(y[::-1], x[::-1], "full")
-    c_xr_yr = np.correlate(x[::-1], y[::-1], "full")
-
-    phases = np.exp(1j * np.outer(ang, np.arange(pp.size)))
-    fw = phases @ ww
-    fz = phases @ (pp * ww)
-
-    hh_vals = 0.5 * np.outer(cx + cy, fw) - 0.5 * np.outer(cx - cy, fz)
-    vh_full = 0.5 * np.outer(cxy - c_yr_xr, fw) + 0.5 * np.outer(cxy + c_yr_xr, fz)
-    hv_full = 0.5 * np.outer(cyx - c_xr_yr, fw) + 0.5 * np.outer(cyx + c_xr_yr, fz)
-    vh_vals = np.outer(cxy, fz)
-    hv_vals = np.outer(cyx, fz)
-
-    scale = max(np.abs(vh_vals).max(), np.abs(hv_vals).max(), 1.0)
-    if np.abs(vh_full - vh_vals).max() > 1e-12 * scale or np.abs(hv_full - hv_vals).max() > 1e-12 * scale:
-        raise RuntimeError("reversal-correlation reduction failed; channel forms disagree")
-
-    n = int(pp.size)
     return PolarimetricAmbiguity(
-        vv=vv,
-        hh=AmbiguityMap(values=hh_vals, angles=ang, kind=kind, n_pulses=n),
-        vh=AmbiguityMap(values=vh_vals, angles=ang, kind=kind, n_pulses=n),
-        hv=AmbiguityMap(values=hv_vals, angles=ang, kind=kind, n_pulses=n),
+        vv=channel(vv),
+        hh=channel(even),
+        vh=channel(np.outer(np.correlate(x, y, "full"), fz)),
+        hv=channel(np.outer(np.correlate(y, x, "full"), fz)),
     )
 
 
@@ -154,10 +128,7 @@ def cross_channel_nulls(p, w, grid, tol: float = 1e-10):
     cross-polar channels; it is the same condition the null-space
     design solves.  The residual is max_m |f_z(theta_m)| / ||p*w||_2.
     """
-    pp = as_biphase(p)
-    ww = np.asarray(w, dtype=complex).ravel()
-    if pp.size != ww.size:
-        raise ValueError(f"schedule/weight length mismatch: {pp.size} vs {ww.size}")
+    pp, ww = _schedule_weights(p, w)
     angles = grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
     z = pp * ww
     residual = float(np.abs(slow_time_response(z, angles)).max() / np.linalg.norm(z))

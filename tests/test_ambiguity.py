@@ -185,6 +185,15 @@ class TestAmbiguityMap:
         with pytest.raises(ValueError):
             sidelobe_metrics(amap)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_peak_rejected_by_db(self, tmp_path, bad):
+        amap = AmbiguityMap(values=np.array([[1.0, bad], [2.0, 0.5], [1.0, 0.0]]), angles=[0.0, 1.0])
+        with pytest.raises(ValueError):
+            amap.db
+        with pytest.raises(ValueError):
+            amap.db_to_csv(tmp_path / "db.csv")
+        assert not (tmp_path / "db.csv").exists()
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             AmbiguityMap(values=np.zeros((4, 2)), angles=[0.0, 1.0])
@@ -378,7 +387,7 @@ class TestCsvOracle:
             amap.db_to_csv(out / "ref.csv", reference=reference)
             expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / reference), ref_float)
             assert (out / "ref.csv").read_text() == expected
-            if mag.max() == 0:
+            if not (np.isfinite(mag.max()) and mag.max() > 0):
                 with pytest.raises(ValueError):
                     amap.db_to_csv(out / "db.csv")
                 return

@@ -185,6 +185,11 @@ class TestSnrSweepCommand:
     def test_bad_n_rejected(self, tmp_path):
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 1) == 1
 
+    def test_reversed_interval_rejected_before_work(self, tmp_path, capsys):
+        assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 16, "--interval", 2, 0) == 1
+        assert not (tmp_path / "snr_sweep.csv").exists()
+        assert "--interval endpoints out of order" in capsys.readouterr().err
+
     @pytest.mark.parametrize("error, code", [(EmptyNullSpaceError, 2), (ValueError, 1)])
     def test_failed_cell_writes_table_and_exits_nonzero(self, tmp_path, monkeypatch, capsys, error, code):
         build = compwave.cli._build_design
@@ -241,6 +246,15 @@ class TestPolarCommand:
             meta = json.loads((tmp_path / f"delay_polar_{name}_meta.json").read_text())
             assert meta["kind"] == "delay"
             assert meta == channel.metadata()
+
+    def test_tampered_design_rejected(self, tmp_path, capsys):
+        path = make_design(tmp_path)
+        data = json.loads(path.read_text())
+        data["p"][0] = -data["p"][0]
+        path.write_text(json.dumps(data))
+        assert run("polar", "--out-dir", tmp_path, "--design", path) == 1
+        assert "fails its usability conditions" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_vv.csv"))
 
     def test_bad_scattering_value(self, tmp_path):
         path = make_design(tmp_path)

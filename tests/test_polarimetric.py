@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compwave import (
     ScatteringMatrix,
@@ -46,6 +48,33 @@ def per_pulse_channels(x, y, p, w, angles):
     return vv, hh, vh, hv
 
 
+def biphase(size):
+    return st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size).map(np.array)
+
+
+# equal-length pairs, complementary or not
+pairs = st.integers(1, 16).flatmap(lambda L: st.tuples(biphase(L), biphase(L)))
+
+
+@st.composite
+def channel_cases(draw):
+    """A pair, a schedule, complex weights and evaluation angles."""
+    n = draw(st.integers(1, 8))
+    part = st.floats(-1e3, 1e3, allow_subnormal=False)
+    w = np.array(draw(st.lists(st.builds(complex, part, part), min_size=n, max_size=n)))
+    angles = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=5)))
+    return draw(pairs), draw(biphase(n)), w, angles
+
+
+def seed41_case():
+    rng = np.random.default_rng(41)
+    pair = generate_golay_pair(3)
+    p = rng.choice([-1, 1], size=6)
+    w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    angles = rng.uniform(0, 2 * np.pi, 5)
+    return (pair.x, pair.y), p, w, angles
+
+
 @pytest.fixture(scope="module")
 def channels_02(pair64, design_02):
     angles = np.linspace(0.0, 2.0, 21)
@@ -53,15 +82,26 @@ def channels_02(pair64, design_02):
 
 
 class TestChannelMaps:
-    def test_matches_per_pulse_oracle(self):
-        rng = np.random.default_rng(41)
-        pair = generate_golay_pair(3)
-        p = rng.choice([-1, 1], size=6)
-        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        angles = rng.uniform(0, 2 * np.pi, 5)
-        amb = polarimetric_ambiguities(pair, p, w, angles)
-        vv, hh, vh, hv = per_pulse_channels(pair.x, pair.y, p, w, angles)
-        tol = 1e-12 * np.abs(vv).max()
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=pairs)
+    def test_reversal_identities_exact(self, pair):
+        # the identities that reduce the cross-polar channels to C_xy f_z and C_yx f_z
+        for dtype in (np.int64, np.float64):
+            x, y = (np.asarray(s, dtype=dtype) for s in pair)
+            assert np.array_equal(np.correlate(y[::-1], x[::-1], "full"), np.correlate(x, y, "full"))
+            assert np.array_equal(np.correlate(x[::-1], y[::-1], "full"), np.correlate(y, x, "full"))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=channel_cases())
+    @example(case=seed41_case())
+    @example(case=(([1], [1]), np.array([1, -1]), np.array([1, -np.exp(-0.7j)]), np.array([0.7])))
+    def test_matches_per_pulse_oracle(self, case):
+        (x, y), p, w, angles = case
+        amb = polarimetric_ambiguities((x, y), p, w, angles)
+        vv, hh, vh, hv = per_pulse_channels(x, y, p, w, angles)
+        # every cell is a sum of terms bounded by L |w_n|; |vv| alone is no
+        # scale, since f_w can vanish (second example: vv is 0 in the oracle)
+        tol = 1e-12 * len(x) * np.abs(w).sum()
         assert np.abs(amb.vv.values - vv).max() <= tol
         assert np.abs(amb.hh.values - hh).max() <= tol
         assert np.abs(amb.vh.values - vh).max() <= tol
