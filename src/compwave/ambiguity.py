@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import _phase_matrix
+from .design import _phase_matrix, evaluation_grid
 from .golay import as_biphase, is_golay_pair
 
 __all__ = [
@@ -68,15 +68,6 @@ def slow_time_response(coeffs, angles) -> np.ndarray:
     """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each angle."""
     v = np.asarray(coeffs, dtype=complex).ravel()
     return _phase_matrix(np.atleast_1d(np.asarray(angles, dtype=float)), v.size) @ v
-
-
-def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
-    """Uniform angle grid used to evaluate maps (distinct from design grids)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count == 1:
-        return np.array([float(lo)])
-    return np.linspace(float(lo), float(hi), int(count))
 
 
 def _grid_index(angles: np.ndarray, angle: float) -> int:

@@ -10,8 +10,8 @@ polar       four polarization channel maps and sampled output matrices
 golay-gen   generate a complementary pair of length 2^m
 repro       run the full experiment pipeline into one directory
 
-Options can also come from a JSON config file (--config); flags given on
-the command line override file values.  The default output directory is
+Options can also come from a JSON config file (--config), parsed as flags
+given before the command line's, which win.  The default output directory is
 taken from $COMPWAVE_OUT_DIR when --out-dir is absent.  Exit codes:
 0 success, 1 validation error, 2 numerical failure (empty null space),
 3 I/O failure.
@@ -74,110 +74,110 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _build_parser(suppress: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser; with ``suppress`` the namespace only carries flags
-    that were explicitly given (used to let flags override config files)."""
-
-    def dflt(value):
-        return argparse.SUPPRESS if suppress else value
-
+def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--out-dir", default=dflt(None), help="output directory (default: $COMPWAVE_OUT_DIR or .)")
-    common.add_argument("--config", default=dflt(None), help="JSON config file; flags override file values")
-    common.add_argument("--seed", type=int, default=dflt(0), help="seed for randomized paths")
+    common.add_argument("--out-dir", help="output directory (default: $COMPWAVE_OUT_DIR or .)")
+    common.add_argument("--config", help="JSON config file; flags override file values")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
 
     pair_opts = _Parser(add_help=False)
-    pair_opts.add_argument("--pair", default=dflt("length64"),
+    pair_opts.add_argument("--pair", default="length64",
                            help="'length64' (bundled fixture) or a power-of-two length to generate")
-    pair_opts.add_argument("--pair-file", default=dflt(None), help="JSON pair file (overrides --pair)")
+    pair_opts.add_argument("--pair-file", help="JSON pair file (overrides --pair)")
 
     eval_opts = _Parser(add_help=False)
-    eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"), default=dflt(None),
+    eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"),
                            help="evaluation angle interval (default: the design interval)")
-    eval_opts.add_argument("--points", type=int, default=dflt(2001), help="evaluation grid size")
+    eval_opts.add_argument("--points", type=int, default=2001, help="evaluation grid size")
 
     hcd_opts = _Parser(add_help=False)
-    hcd_opts.add_argument("--restarts", type=int, default=dflt(20), help="hcd optimizer starts")
-    hcd_opts.add_argument("--sweeps", type=int, default=dflt(100),
+    hcd_opts.add_argument("--restarts", type=int, default=20, help="hcd optimizer starts")
+    hcd_opts.add_argument("--sweeps", type=int, default=100,
                           help="hcd step budget per restart, in multiples of the null-space width")
-    hcd_opts.add_argument("--eps", type=float, default=dflt(1e-6),
+    hcd_opts.add_argument("--eps", type=float, default=1e-6,
                           help="hcd stops a restart once a step moves the unit-norm null vector by at most this")
 
     parser = _Parser(prog="compwave", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # "required" options default to None and are checked after the config
-    # file merge, so they may come from either the flags or the file
+    # "required" options default to None and are checked after parsing,
+    # so they may come from either the flags or the config file
     p = sub.add_parser("design", parents=[common, hcd_opts], help="build and store a resilient design")
-    p.add_argument("--n", type=int, default=dflt(None), help="number of pulses")
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), default=dflt(None))
-    p.add_argument("--m", type=int, default=dflt(None), help="constraint angles (default: N-1)")
-    p.add_argument("--kind", choices=("doppler", "delay"), default=dflt("doppler"))
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default=dflt("first-basis"))
-    p.add_argument("--basis-index", type=int, default=dflt(0), help="basis column for first-basis")
-    p.add_argument("--out", default=dflt("design.json"), help="design file name")
+    p.add_argument("--n", type=int, help="number of pulses")
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--m", type=int, help="constraint angles (default: N-1)")
+    p.add_argument("--kind", choices=("doppler", "delay"), default="doppler")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="first-basis")
+    p.add_argument("--basis-index", type=int, default=0, help="basis column for first-basis")
+    p.add_argument("--out", default="design.json", help="design file name")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("evaluate", parents=[common, pair_opts, eval_opts], help="map + metrics for a design")
-    p.add_argument("--design", default=dflt(None), help="design JSON file")
-    p.add_argument("--prefix", default=dflt(None), help="output file prefix (default: design file stem)")
+    p.add_argument("--design", help="design JSON file")
+    p.add_argument("--prefix", help="output file prefix (default: design file stem)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", parents=[common, pair_opts, eval_opts], help="null-space vs baselines")
-    p.add_argument("--n", type=int, default=dflt(48))
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), default=dflt(None))
-    p.add_argument("--m", type=int, default=dflt(None))
-    p.add_argument("--prefix", default=dflt("compare"))
+    p.add_argument("--n", type=int, default=48)
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--m", type=int)
+    p.add_argument("--prefix", default="compare")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("snr-sweep", parents=[common, hcd_opts], help="SNR ratio vs number of pulses")
-    p.add_argument("--n-list", type=int, nargs="+", default=dflt([8, 16, 24, 32, 40, 48]))
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), default=dflt([0.0, 2.0]))
-    p.add_argument("--optimizers", nargs="+", choices=SWEEP_METHODS, default=dflt(list(SWEEP_METHODS)))
-    p.add_argument("--out", default=dflt("snr_sweep.csv"))
+    p.add_argument("--n-list", type=int, nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), default=[0.0, 2.0])
+    p.add_argument("--optimizers", nargs="+", choices=SWEEP_METHODS, default=list(SWEEP_METHODS))
+    p.add_argument("--out", default="snr_sweep.csv")
     p.set_defaults(func=cmd_snr_sweep)
 
     p = sub.add_parser("polar", parents=[common, pair_opts, eval_opts], help="four-channel polarimetric maps")
-    p.add_argument("--design", default=dflt(None))
-    p.add_argument("--scattering", nargs=4, metavar=("HVV", "HVH", "HHV", "HHH"), default=dflt(["1", "0", "0", "1"]),
+    p.add_argument("--design")
+    p.add_argument("--scattering", type=complex, nargs=4, metavar=("HVV", "HVH", "HHV", "HHH"), default=[1, 0, 0, 1],
                    help="scattering coefficients as complex literals, e.g. 0.9+0.1j (no spaces)")
-    p.add_argument("--sample", action="append", nargs=2, metavar=("LAG", "ANGLE"), default=dflt(None),
+    p.add_argument("--sample", type=float, action="append", nargs=2, metavar=("LAG", "ANGLE"),
                    help="evaluate the output matrix at this (lag, angle); repeatable")
-    p.add_argument("--prefix", default=dflt(None))
+    p.add_argument("--prefix")
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("golay-gen", parents=[common], help="generate a complementary pair")
-    p.add_argument("--log2-length", type=int, default=dflt(None), help="pair length is 2**this")
-    p.add_argument("--out", default=dflt("golay_pair.json"))
+    p.add_argument("--log2-length", type=int, help="pair length is 2**this")
+    p.add_argument("--out", default="golay_pair.json")
     p.set_defaults(func=cmd_golay_gen)
 
     p = sub.add_parser("repro", parents=[common, hcd_opts], help="full experiment pipeline")
-    p.add_argument("--n", type=int, default=dflt(48))
-    p.add_argument("--points", type=int, default=dflt(2001))
-    p.add_argument("--n-list", type=int, nargs="+", default=dflt([8, 16, 24, 32, 40, 48]))
-    p.add_argument("--label", default=dflt(None), help="directory label (default: timestamp)")
+    p.add_argument("--n", type=int, default=48)
+    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--n-list", type=int, nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--label", help="directory label (default: timestamp)")
     p.set_defaults(func=cmd_repro)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv) -> None:
-    """Overlay config-file values onto defaults; explicit flags win."""
-    explicit = vars(_build_parser(suppress=True).parse_args(argv))
+def _config_argv(argv: list, args: argparse.Namespace) -> list:
+    """``argv`` with the --config file's values inserted after the subcommand as ``--key value`` flags.
+
+    argparse checks them like any flag; an explicit flag, coming later, wins.  A list fills a
+    multi-value option, ``sample`` takes a list of [lag, angle] pairs, and null keeps the default.
+    """
     try:
         cfg = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed config file {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
+    tokens = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest in ("command", "config", "func"):
-            continue
-        if not hasattr(args, dest):
+        if dest in ("command", "config", "func") or not hasattr(args, dest):
             raise CliError(f"unknown config key {key!r} for command {args.command!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
+        if value is None:
+            continue
+        for item in value if dest == "sample" and isinstance(value, list) else [value]:
+            tokens += ["--" + dest.replace("_", "-"), *map(str, item if isinstance(item, list) else [item])]
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _require(args, *names) -> None:
@@ -208,23 +208,24 @@ def _resolve_pair(args) -> GolayPair:
     return generate_golay_pair(length.bit_length() - 1)
 
 
-def _build_design(n, interval, m, kind, optimizer, restarts, sweeps, eps, seed, basis_index=0):
-    """Design via the requested selection method; returns (design, report)."""
-    if optimizer == "first-basis":
+def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0):
+    """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report)."""
+    if method == "bd":
+        return binomial_design(n), None
+    if method == "first-basis":
         return null_space_design(n, interval, constraints=m, kind=kind, basis_index=basis_index), None
-    m = n - 1 if m is None else m
-    grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)
+    grid = ResilienceGrid.uniform(interval[0], interval[1], n - 1 if m is None else m, kind=kind)
     basis = null_space_basis(design_matrix(grid, n))
-    if optimizer == "bs":
+    if method == "bs":
         return design_from_vector(basis_selection(basis), grid), None
-    report = coordinate_descent(basis, restarts=restarts, sweeps=sweeps, eps=eps, seed=seed)
+    report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, eps=args.eps, seed=args.seed)
     return design_from_lambda(basis, report.best_lambda, grid), report
 
 
 def _eval_angles(args, design: WaveformDesign) -> np.ndarray:
-    interval = getattr(args, "eval_interval", None)
+    interval = args.eval_interval
     if interval is None:
-        if design is None or design.grid is None:
+        if design.grid is None:
             raise CliError("design carries no interval; pass --eval-interval")
         interval = design.grid.interval
     if args.points < 1:
@@ -232,69 +233,55 @@ def _eval_angles(args, design: WaveformDesign) -> np.ndarray:
     return evaluation_grid(interval[0], interval[1], args.points)
 
 
-def _write_design_bundle(design: WaveformDesign, path: Path) -> None:
-    design.save(path)
-    print(f"wrote {path}")
-    if design.grid is not None:
-        report = validate_design(design)
-        report_path = path.with_name(path.stem + "_report.json")
-        report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"wrote {report_path}")
-        if not report.ok:
-            raise CliError(
-                f"design violates usability conditions: nullspace residual "
-                f"{report.nullspace_residual:.3e}, mainlobe residual {report.mainlobe_residual:.3e}"
-            )
-
-
 def cmd_design(args) -> None:
     _require(args, "n", "interval")
     if args.n < 2:
         raise CliError("--n must be at least 2")
-    out = _out_dir(args)
-    design, report = _build_design(
-        args.n, tuple(args.interval), args.m, args.kind, args.optimizer,
-        args.restarts, args.sweeps, args.eps, args.seed, basis_index=args.basis_index,
-    )
-    path = out / args.out
-    _write_design_bundle(design, path)
-    if report is not None:
+    path = _out_dir(args) / args.out
+    design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer, args.basis_index)
+    design.save(path)
+    print(f"wrote {path}")
+    report = validate_design(design)
+    report_path = path.with_name(path.stem + "_report.json")
+    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    print(f"wrote {report_path}")
+    if not report.ok:
+        raise CliError(
+            f"design violates usability conditions: nullspace residual "
+            f"{report.nullspace_residual:.3e}, mainlobe residual {report.mainlobe_residual:.3e}"
+        )
+    if optimizer is not None:
         opt_path = path.with_name(path.stem + "_optimizer.json")
-        report.save(opt_path)
+        optimizer.save(opt_path)
         print(f"wrote {opt_path}")
     print(f"snr_ratio {snr_ratio(design.w):.6f}  residual {design.residual:.3e}")
 
 
 def _load_design(args):
-    """The stored design named by ``--design`` and its axis kind; rejects an unusable one."""
+    """The stored ``--design`` (rejected when unusable), its axis kind, the pair and the evaluation angles."""
+    _require(args, "design")
     design = WaveformDesign.load(args.design)
     if design.grid is not None and not validate_design(design).ok:
         raise CliError(f"stored design {args.design} fails its usability conditions")
-    return design, "doppler" if design.grid is None else design.grid.kind
+    kind = "doppler" if design.grid is None else design.grid.kind
+    return design, kind, _resolve_pair(args), _eval_angles(args, design)
 
 
 def cmd_evaluate(args) -> None:
-    _require(args, "design")
+    design, kind, pair, angles = _load_design(args)
     out = _out_dir(args)
-    design, kind = _load_design(args)
-    pair = _resolve_pair(args)
-    angles = _eval_angles(args, design)
     prefix = args.prefix or Path(args.design).stem
     amap = discrete_ambiguity(pair, design.p, design.w, angles, kind=kind)
     metrics = sidelobe_metrics(amap)
-    paths = {
-        "map": out / f"{prefix}_map.csv",
-        "db": out / f"{prefix}_map_db.csv",
-        "meta": out / f"{prefix}_map_meta.json",
-        "profile": out / f"{prefix}_profile.csv",
-        "prsl": out / f"{prefix}_prsl.csv",
-    }
-    amap.to_csv(paths["map"])
-    amap.db_to_csv(paths["db"])
-    amap.save_metadata(paths["meta"])
-    metrics.profile_to_csv(paths["profile"])
-    metrics.prsl_to_csv(paths["prsl"])
-    for path in paths.values():
+    for suffix, write in (
+        ("map.csv", amap.to_csv),
+        ("map_db.csv", amap.db_to_csv),
+        ("map_meta.json", amap.save_metadata),
+        ("profile.csv", metrics.profile_to_csv),
+        ("prsl.csv", metrics.prsl_to_csv),
+    ):
+        path = out / f"{prefix}_{suffix}"
+        write(path)
         print(f"wrote {path}")
     finite = metrics.prsl_db[np.isfinite(metrics.prsl_db)]
     if finite.size:
@@ -322,13 +309,28 @@ def cmd_compare(args) -> None:
         print(f"wrote {path}")
 
 
-def _sweep_row(n, method, interval, args) -> str:
-    """One ``n,method,snr_ratio`` row of an SNR sweep, the ratio to 17 significant digits."""
-    if method == "bd":
-        w = binomial_design(n).w
-    else:
-        w = _build_design(n, interval, None, "doppler", method, args.restarts, args.sweeps, args.eps, args.seed)[0].w
-    return f"{n},{method},{snr_ratio(w):.17g}"
+def _write_sweep(path: Path, args, n_list, methods, interval):
+    """Write the ``n,method,snr_ratio`` table (ratio to 17 digits), leaving a failed cell blank.
+
+    Returns None, or the error to raise once the command's files are written: EmptyNullSpaceError
+    (exit 2) when every failed cell is an empty null space, else CliError (exit 1).
+    """
+    lines = ["n,method,snr_ratio"]
+    failed = []
+    for n in n_list:
+        for method in methods:
+            try:
+                w = _build_design(args, n, interval, method=method)[0].w
+                lines.append(f"{n},{method},{snr_ratio(w):.17g}")
+            except (EmptyNullSpaceError, ValueError) as exc:
+                print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)
+                lines.append(f"{n},{method},")
+                failed.append((f"N={n} {method}", exc))
+    path.write_text("\n".join(lines) + "\n")
+    if failed:
+        message = f"{len(failed)} sweep cell(s) failed: " + ", ".join(cell for cell, _ in failed)
+        numerical = all(isinstance(exc, EmptyNullSpaceError) for _, exc in failed)
+        return EmptyNullSpaceError(message) if numerical else CliError(message)
 
 
 def cmd_snr_sweep(args) -> None:
@@ -338,48 +340,26 @@ def cmd_snr_sweep(args) -> None:
     lo, hi = args.interval
     if not lo <= hi:
         raise CliError(f"--interval endpoints out of order: [{lo}, {hi}]")
-    out = _out_dir(args)
-    lines = ["n,method,snr_ratio"]
-    failed = []
-    for n in args.n_list:
-        for method in args.optimizers:
-            try:
-                lines.append(_sweep_row(n, method, tuple(args.interval), args))
-            except (EmptyNullSpaceError, ValueError) as exc:
-                # blank cell, but the sweep goes on; the exit code reports it
-                print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)
-                lines.append(f"{n},{method},")
-                failed.append((f"N={n} {method}", exc))
-    path = out / args.out
-    path.write_text("\n".join(lines) + "\n")
+    path = _out_dir(args) / args.out
+    failure = _write_sweep(path, args, args.n_list, args.optimizers, (lo, hi))
     print(f"wrote {path}")
-    if failed:
-        message = f"{len(failed)} sweep cell(s) failed: " + ", ".join(cell for cell, _ in failed)
-        numerical = all(isinstance(exc, EmptyNullSpaceError) for _, exc in failed)
-        raise EmptyNullSpaceError(message) if numerical else CliError(message)
+    if failure:
+        raise failure
 
 
 def cmd_polar(args) -> None:
-    _require(args, "design")
+    design, kind, pair, angles = _load_design(args)
     out = _out_dir(args)
-    design, kind = _load_design(args)
-    pair = _resolve_pair(args)
-    angles = _eval_angles(args, design)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
-    try:
-        scattering = ScatteringMatrix(*(complex(tok) for tok in args.scattering))
-    except ValueError as exc:
-        raise CliError(f"bad --scattering value: {exc}") from exc
+    scattering = ScatteringMatrix(*args.scattering)
     # every sample is checked against the axes before any map is computed
     points = []
-    for lag_str, angle_str in args.sample or []:
-        lag_val = float(lag_str)
+    for lag_val, angle in args.sample or []:
         if not lag_val.is_integer():
-            raise CliError(f"sample lag must be an integer, got {lag_str}")
+            raise CliError(f"sample lag must be an integer, got {lag_val}")
         lag = int(lag_val)
         if not -(pair.length - 1) <= lag <= pair.length - 1:
             raise CliError(f"sample lag {lag} outside [-{pair.length - 1}, {pair.length - 1}]")
-        angle = float(angle_str)
         _grid_index(angles, angle)
         points.append((lag, angle))
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
@@ -422,10 +402,11 @@ def cmd_repro(args) -> None:
     manifest = {"n": n, "points": args.points, "seed": args.seed, "outputs": []}
 
     def emit(name, write, *extra):
-        """Write one artifact with ``write(path, *extra)`` and record it."""
-        write(out / name, *extra)
+        """Write one artifact with ``write(path, *extra)``, record it, and pass on what ``write`` returns."""
+        result = write(out / name, *extra)
         manifest["outputs"].append(name)
         print(f"wrote {out / name}")
+        return result
 
     # interval-limited design and its schedule/weight profiles
     interval_design = null_space_design(n, (0.0, 2.0))
@@ -444,36 +425,40 @@ def cmd_repro(args) -> None:
     overall = null_space_design(n, (0.0, np.pi))
     emit("overall_design.json", overall.save)
     angles_overall = evaluation_grid(0.0, np.pi, args.points)
+    bd = binomial_design(n)
     columns = {}
-    for name, design in (("ns", overall), ("bd", binomial_design(n)), ("ptm", ptm_schedule(n))):
+    for name, design in (("ns", overall), ("bd", bd), ("ptm", ptm_schedule(n))):
         dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
         if name != "ptm":
             emit(f"overall_{name}_map_db.csv", dmap.db_to_csv)
         columns[name] = sidelobe_metrics(dmap).prsl_db
     emit("overall_prsl_comparison.csv", write_columns_csv, ["angle", *columns], [angles_overall, *columns.values()])
 
-    # SNR sweep across methods
-    sweep = [_sweep_row(n_i, method, (0.0, 2.0), args) for n_i in args.n_list for method in SWEEP_METHODS]
-    emit("snr_vs_pulses.csv", Path.write_text, "\n".join(["n,method,snr_ratio", *sweep]) + "\n")
+    # SNR sweep across methods; a failed cell ends the run nonzero once every file is written
+    sweep_failure = emit("snr_vs_pulses.csv", _write_sweep, args, args.n_list, SWEEP_METHODS, (0.0, 2.0))
 
     # cross-polar channels, referenced to each run's co-polar mainlobe peak
     for tag, design, angles in (
         ("interval", interval_design, angles_interval),
         ("overall", overall, angles_overall),
-        ("bd", binomial_design(n), angles_overall),
+        ("bd", bd, angles_overall),
     ):
         amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
         emit(f"polar_{tag}_vh_db.csv", amb.vh.db_to_csv, float(np.abs(amb.vv.mainlobe).max()))
 
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out / 'manifest.json'}")
+    if sweep_failure:
+        raise sweep_failure
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(argv, args))
         args.func(args)
         return 0
     except EmptyNullSpaceError as exc:

@@ -83,18 +83,24 @@ class ResilienceGrid:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, count: int, kind: str = "doppler") -> "ResilienceGrid":
-        """Evenly spaced angles over [lo, hi] inclusive.
+        """The ``count`` angles of :func:`evaluation_grid` over [lo, hi], duplicates (lo == hi) merged."""
+        return cls(angles=evaluation_grid(lo, hi, count), kind=kind, interval=(lo, hi))
 
-        ``count`` = 1 collapses to the single angle lo.  Duplicate angles
-        (possible when lo == hi) are merged.
-        """
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if count == 1:
-            angles = np.array([float(lo)])
-        else:
-            angles = np.linspace(float(lo), float(hi), int(count))
-        return cls(angles=angles, kind=kind, interval=(float(lo), float(hi)))
+
+def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
+    """``count`` evenly spaced angles over [lo, hi] inclusive, for maps and design grids alike.
+
+    ``count`` = 1 gives the single angle lo.  ValueError when ``count`` is
+    below 1 or the endpoints are out of order (lo > hi, or a nan).
+    """
+    lo, hi = float(lo), float(hi)
+    if not lo <= hi:
+        raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if count == 1:
+        return np.array([lo])
+    return np.linspace(lo, hi, int(count))
 
 
 def design_matrix(grid, n_pulses: int) -> np.ndarray:
@@ -270,7 +276,6 @@ def null_space_design(
     constraints: int = None,
     kind: str = "doppler",
     basis_index: int = 0,
-    rtol: float = None,
 ) -> WaveformDesign:
     """Design a resilient train for ``interval`` from the null space of E.
 
@@ -286,12 +291,11 @@ def null_space_design(
         "doppler" or "delay"; arithmetic is identical on both axes.
     basis_index : int
         Which basis column becomes the design (default: first).
-    rtol : float, optional
-        Override for the null-space rank threshold.
 
-    With M >= N the matrix is generically full rank; a warning is issued
-    before the attempt and :class:`EmptyNullSpaceError` propagates if the
-    numerical null space is indeed empty.
+    The rank cut is :func:`null_space_basis`'s default.  With M >= N the
+    matrix is generically full rank; a warning is issued before the
+    attempt and :class:`EmptyNullSpaceError` propagates if the numerical
+    null space is indeed empty.
     """
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
@@ -304,9 +308,8 @@ def null_space_design(
             "matrix may have full column rank and an empty null space",
             stacklevel=2,
         )
-    lo, hi = float(interval[0]), float(interval[1])
-    grid = ResilienceGrid.uniform(lo, hi, m, kind=kind)
-    basis = null_space_basis(design_matrix(grid, n_pulses), rtol=rtol)
+    grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)
+    basis = null_space_basis(design_matrix(grid, n_pulses))
     if not 0 <= basis_index < basis.shape[1]:
         raise ValueError(f"basis_index {basis_index} outside 0..{basis.shape[1] - 1}")
     return design_from_vector(basis[:, basis_index], grid)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityMap, _schedule_weights, _two_terms, slow_time_response
-from .design import ResilienceGrid
+from .ambiguity import AmbiguityMap, _schedule_weights, _two_terms
+from .design import design_matrix
 
 __all__ = [
     "ScatteringMatrix",
@@ -126,10 +126,10 @@ def cross_channel_nulls(p, w, grid, tol: float = 1e-10):
     The single condition sum_n p_n w_n e^{j n theta} = 0 at every grid
     angle makes the co-polar sidelobes vanish and zeroes both
     cross-polar channels; it is the same condition the null-space
-    design solves.  The residual is max_m |f_z(theta_m)| / ||p*w||_2.
+    design solves.  The residual is max_m |f_z(theta_m)| / ||p*w||_2, read
+    off ``design_matrix(grid, N) @ (p*w)`` (``grid``: a grid or bare angles).
     """
     pp, ww = _schedule_weights(p, w)
-    angles = grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
     z = pp * ww
-    residual = float(np.abs(slow_time_response(z, angles)).max() / np.linalg.norm(z))
+    residual = float(np.abs(design_matrix(grid, z.size) @ z).max() / np.linalg.norm(z))
     return residual <= tol, residual

@@ -68,6 +68,11 @@ class TestEvaluationGrid:
         with pytest.raises(ValueError):
             evaluation_grid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("lo, hi, count", [(2, 0, 5), (2, 0, 1), (0, float("nan"), 5)])
+    def test_rejects_reversed_endpoints(self, lo, hi, count):
+        with pytest.raises(ValueError, match="out of order"):
+            evaluation_grid(lo, hi, count)
+
 
 class TestDiscreteAmbiguity:
     def test_matches_per_pulse_oracle(self):

@@ -36,6 +36,18 @@ def make_design(tmp_path, n=8, interval=(0, 2), **extra):
     return tmp_path / extra.get("out", "design.json")
 
 
+def force_failed_cell(monkeypatch, error, cell):
+    """Make the CLI's design builder raise ``error`` for one ``(n, method)`` cell."""
+    build = compwave.cli._build_design
+
+    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0):
+        if (n, method) == cell:
+            raise error("forced failure")
+        return build(args, n, interval, m, kind, method, basis_index)
+
+    monkeypatch.setattr(compwave.cli, "_build_design", failing)
+
+
 class TestDesignCommand:
     def test_writes_design_and_report(self, tmp_path):
         path = make_design(tmp_path, n=12)
@@ -132,6 +144,13 @@ class TestEvaluateCommand:
         path.write_text(json.dumps(data))
         assert run("evaluate", "--out-dir", tmp_path, "--design", path) == 1
 
+    def test_reversed_eval_interval_rejected_before_work(self, tmp_path, capsys):
+        path = make_design(tmp_path)
+        assert run("evaluate", "--out-dir", tmp_path, "--design", path,
+                   "--eval-interval", 2, 0, "--points", 5) == 1
+        assert "out of order" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_map.csv"))
+
 
 class TestConfigFile:
     def test_config_supplies_required_options(self, tmp_path):
@@ -148,8 +167,44 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 8, "interval": [0, 2], "bogus": 1}))
+        for extra in ({"bogus": 1}, {"config": "other.json"}, {"command": "repro"}):
+            cfg.write_text(json.dumps({"n": 8, "interval": [0, 2], **extra}))
+            assert run("design", "--out-dir", tmp_path, "--config", cfg) == 1
+        cfg.write_text(json.dumps({"pair": "length64"}))
+        assert run("repro", "--out-dir", tmp_path, "--config", cfg) == 1
+        assert not list(tmp_path.glob("repro-*"))
+
+    @pytest.mark.parametrize("values", [
+        {"optimizer": "bogus"},
+        {"interval": [0, 2, 3]},
+        {"interval": 5},
+        {"n": "x"},
+        {"n": [8, 9]},
+    ])
+    def test_values_checked_like_flags(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "interval": [0, 2], **values}))
         assert run("design", "--out-dir", tmp_path, "--config", cfg) == 1
+        assert not (tmp_path / "design.json").exists()
+
+    def test_values_parsed_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "8", "interval": ["0", 2], "kind": None, "m": None}))
+        assert run("design", "--out-dir", tmp_path, "--config", cfg) == 0
+        design = WaveformDesign.load(tmp_path / "design.json")
+        assert design.n_pulses == 8 and design.grid.m == 7 and design.grid.kind == "doppler"
+
+    def test_config_samples_add_to_flag_samples(self, tmp_path, pair64):
+        path = make_design(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"design": str(path), "points": 11, "sample": [[3, 0.2], [0, 0.0]]}))
+        assert run("polar", "--out-dir", tmp_path, "--config", cfg, "--prefix", "a") == 0
+        samples = json.loads((tmp_path / "a_u_samples.json").read_text())
+        assert [(s["lag"], s["angle"]) for s in samples] == [(3, 0.2), (0, 0.0)]
+        assert run("polar", "--out-dir", tmp_path, "--config", cfg, "--prefix", "b",
+                   "--sample", -2, 1.8) == 0
+        samples = json.loads((tmp_path / "b_u_samples.json").read_text())
+        assert [(s["lag"], s["angle"]) for s in samples] == [(3, 0.2), (0, 0.0), (-2, 1.8)]
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -192,14 +247,7 @@ class TestSnrSweepCommand:
 
     @pytest.mark.parametrize("error, code", [(EmptyNullSpaceError, 2), (ValueError, 1)])
     def test_failed_cell_writes_table_and_exits_nonzero(self, tmp_path, monkeypatch, capsys, error, code):
-        build = compwave.cli._build_design
-
-        def failing(n, interval, m, kind, optimizer, *rest):
-            if (n, optimizer) == (12, "bs"):
-                raise error("forced failure")
-            return build(n, interval, m, kind, optimizer, *rest)
-
-        monkeypatch.setattr(compwave.cli, "_build_design", failing)
+        force_failed_cell(monkeypatch, error, (12, "bs"))
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12,
                    "--optimizers", "bs", "bd", "--out", "sweep.csv") == code
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -265,6 +313,13 @@ class TestPolarCommand:
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--sample", 0.5, 0.0) == 1
+        assert not list(tmp_path.glob("*_vv.csv"))
+
+    def test_reversed_eval_interval_rejected_before_work(self, tmp_path, capsys):
+        path = make_design(tmp_path)
+        assert run("polar", "--out-dir", tmp_path, "--design", path,
+                   "--eval-interval", 2, 0, "--points", 9) == 1
+        assert "out of order" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_vv.csv"))
 
     def test_off_grid_sample_angle(self, tmp_path):
@@ -342,3 +397,21 @@ class TestReproCommand:
             assert (out / f"polar_{tag}_vh_db.csv").exists()
         header = (out / "overall_prsl_comparison.csv").read_text().splitlines()[0]
         assert header == "angle,ns,bd,ptm"
+
+    @pytest.mark.parametrize("error, code", [(EmptyNullSpaceError, 2), (ValueError, 1)])
+    def test_failed_sweep_cell_blank_and_exits_nonzero(self, tmp_path, monkeypatch, capsys, error, code):
+        force_failed_cell(monkeypatch, error, (12, "bs"))
+        assert run("repro", "--out-dir", tmp_path, "--label", "t", "--n", 8,
+                   "--points", 21, "--restarts", 2, "--sweeps", 3,
+                   "--n-list", 8, 12) == code
+        out = tmp_path / "repro-t"
+        rows = (out / "snr_vs_pulses.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 4 and "12,bs," in rows
+        assert all(row.split(",")[2] for row in rows[1:] if row != "12,bs,")
+        assert "1 sweep cell(s) failed: N=12 bs" in capsys.readouterr().err
+        # the run still writes every later artifact and its manifest
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "snr_vs_pulses.csv" in manifest["outputs"]
+        for name in manifest["outputs"]:
+            assert (out / name).exists()
+        assert (out / "polar_bd_vh_db.csv").exists()
