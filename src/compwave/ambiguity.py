@@ -13,6 +13,16 @@ the first term is exactly 2 L delta_k f_w, so every nonzero lag is
 controlled by f_z alone and the zero lag carries L f_w.  The delay axis
 obeys the same algebra with delay angles in place of Doppler angles.
 
+A map therefore depends on the lag only through the integer pair
+((C_x + C_y)[k], (C_x - C_y)[k]), and :class:`AmbiguityMap` stores one
+row per distinct pair plus each lag's index into those rows: at L = 4096
+134 rows serve 8191 lags.  Rows of opposite pairs have equal magnitudes,
+so magnitude-based quantities go one step further and use one row per
+pair up to sign.  Peaks, sidelobe metrics and the CSV writers read the
+rows.  The dense lag x angle array, (2L-1) x angles complex cells, is
+built only when ``values``, ``magnitude`` or ``db`` is read,
+bit-identical to a dense evaluation.
+
 Angles are dimensionless phase increments per pulse (radians).
 """
 from __future__ import annotations
@@ -24,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import _phase_matrix, evaluation_grid
-from .golay import as_biphase, is_golay_pair
+from .golay import as_biphase
 
 __all__ = [
     "slow_time_response",
@@ -44,24 +54,23 @@ _CELL = "%.17g"  # float CSV cell: 17 significant digits, an exact float64 round
 _COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by complex()
 
 
-def _write_matrix_csv(path, header: str, cells: np.ndarray, cell_fmt: str = _CELL, lags=None) -> None:
-    """Stream ``header``, then each row of the 2-D float array ``cells`` as one printf.
+def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None) -> None:
+    """Write ``header``, then one line per entry of ``index`` (default: each row in order).
 
-    ``cell_fmt`` is repeated across the row and may take several floats
-    per cell.  Identical rows are formatted once, keyed on their bytes:
-    float equality would merge 0.0 and -0.0, which print as 0 and -0.
-    ``lags``, when given, are written as a first column.
+    A line is the row of the 2-D float array ``rows`` that its entry
+    names, printed with ``cell_fmt`` repeated across the row (it may take
+    several floats per cell); each row is formatted once however many
+    lines use it.  ``lags``, when given, are written as a first column.
     """
-    template = ",".join([cell_fmt] * (cells.shape[1] // cell_fmt.count("%")))
-    done = {}
+    template = ",".join([cell_fmt] * (rows.shape[1] // cell_fmt.count("%")))
+    texts = [template % tuple(row.tolist()) for row in rows]
+    order = range(len(texts)) if index is None else index.tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i, row in enumerate(cells):
-            key = row.tobytes()
-            text = done.get(key)
-            if text is None:
-                text = done[key] = template % tuple(row.tolist())
-            fh.write(f"{text}\n" if lags is None else f"{lags[i]},{text}\n")
+        if lags is None:
+            fh.writelines(f"{texts[r]}\n" for r in order)
+        else:
+            fh.writelines(f"{lag},{texts[r]}\n" for lag, r in zip(lags, order))
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -95,30 +104,80 @@ def _schedule_weights(p, w):
     return pp, ww
 
 
-@dataclass(frozen=True)
+def _lag_rows(*columns):
+    """Factor the int64 per-lag coefficient ``columns``: (distinct coefficient rows, layout).
+
+    The layout is (index, classes): lag k uses distinct row ``index[k]``,
+    and rows whose coefficients are negatives of each other share a
+    magnitude class.  Negating every coefficient negates each product and
+    sum of the two-term evaluation exactly, up to the sign of a zero, so
+    such rows have bit-identical magnitudes.
+    """
+    coef = np.column_stack(columns)
+    span = 2 * int(np.abs(coef).max()) + 1
+    keys = np.zeros(len(coef), dtype=np.int64)
+    for col in coef.T:  # balanced base-span digits: one key per row, and key(-c) = -key(c)
+        keys = keys * span + col
+    keys, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    classes = np.unique(np.abs(keys), return_inverse=True)[1]
+    return coef[first], (index.ravel(), classes.ravel())
+
+
 class AmbiguityMap:
-    """Sampled map A(k, theta): rows are lags -(L-1)..L-1, columns angles."""
+    """Sampled map A(k, theta): rows are lags -(L-1)..L-1, columns angles.
 
-    values: np.ndarray
-    angles: np.ndarray
-    kind: str = "doppler"
-    n_pulses: int = None
+    Stored factored: the distinct lag rows and, for every lag, the index
+    of its row (see the module docstring).  ``peak``, ``mainlobe``, the
+    sidelobe quantities, :meth:`metadata` and the CSV writers work on the
+    rows.  ``values`` gathers the dense lag x angle array on first read
+    and keeps it; ``magnitude`` and ``db`` gather a new one on each read.
+    ``AmbiguityMap(values=..., angles=...)`` wraps a dense array, every
+    lag its own row.
+    """
 
-    def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=complex))
-        ang = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if vals.shape[0] % 2 == 0:
+    def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None):
+        vals = np.atleast_2d(np.asarray(values, dtype=complex))
+        every = np.arange(vals.shape[0])
+        self._setup(vals, (every, every), angles, kind, n_pulses)
+        self._values = vals
+
+    @classmethod
+    def _from_rows(cls, rows, layout, angles, kind, n_pulses) -> "AmbiguityMap":
+        """The map whose lag k holds ``rows[index[k]]``, for a layout (index, classes) from
+        :func:`_lag_rows`; every row must be used by some lag."""
+        amap = cls.__new__(cls)
+        amap._setup(rows, layout, angles, kind, n_pulses)
+        return amap
+
+    def _setup(self, rows, layout, angles, kind, n_pulses) -> None:
+        index, classes = layout
+        ang = np.atleast_1d(np.asarray(angles, dtype=float))
+        if index.size % 2 == 0:
             raise ValueError("lag axis must have odd length 2L-1")
-        if vals.shape[1] != ang.size:
+        if rows.shape[1] != ang.size:
             raise ValueError("angle axis does not match the number of columns")
-        vals.setflags(write=False)
+        rows.setflags(write=False)
         ang.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "angles", ang)
+        self._rows, self._index, self._classes, self._values = rows, index, classes, None
+        self.angles, self.kind, self.n_pulses = ang, kind, n_pulses
+
+    def _magnitudes(self):
+        """(|row| of one row per magnitude class, each lag's class)."""
+        member = np.empty(self._classes.max() + 1, dtype=np.intp)
+        member[self._classes] = np.arange(self._classes.size)
+        return np.abs(self._rows[member]), self._classes[self._index]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense complex map, gathered from the distinct rows on first use (read-only)."""
+        if self._values is None:
+            self._values = self._rows[self._index]
+            self._values.setflags(write=False)
+        return self._values
 
     @property
     def sequence_length(self) -> int:
-        return (self.values.shape[0] + 1) // 2
+        return (self._index.size + 1) // 2
 
     @property
     def lags(self) -> np.ndarray:
@@ -127,21 +186,40 @@ class AmbiguityMap:
 
     @property
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        mag, lag_class = self._magnitudes()
+        return mag[lag_class]
 
     @property
     def peak(self) -> float:
-        return float(self.magnitude.max())
+        return float(self._magnitudes()[0].max())
+
+    def _row(self, i: int) -> np.ndarray:
+        """The row at lag position ``i`` (lag ``i - (L-1)``)."""
+        return self._rows[self._index[i]]
 
     @property
     def mainlobe(self) -> np.ndarray:
         """The zero-lag row A(0, theta)."""
-        return self.values[self.sequence_length - 1]
+        return self._row(self.sequence_length - 1)
 
     def sidelobe_peaks(self) -> np.ndarray:
-        """max_{k != 0} |A(k, theta)| per angle."""
-        mag = self.magnitude
-        return np.delete(mag, self.sequence_length - 1, axis=0).max(axis=0)
+        """max_{k != 0} |A(k, theta)| per angle.
+
+        The zero lag is left out by position: its row may also serve
+        nonzero lags, and then it counts for them.
+        """
+        mag, lag_class = self._magnitudes()
+        return mag[np.unique(np.delete(lag_class, self.sequence_length - 1))].max(axis=0)
+
+    def _db_rows(self, reference: float = None):
+        """(20 log10(|row| / reference) per magnitude class, each lag's class); the map's own peak by default."""
+        mag, lag_class = self._magnitudes()
+        ref = mag.max() if reference is None else float(reference)
+        if not (np.isfinite(ref) and ref > 0):
+            source = "map peak" if reference is None else "reference peak"
+            raise ValueError(f"{source} must be finite and positive for a dB normalization, got {ref}")
+        with np.errstate(divide="ignore"):
+            return 20.0 * np.log10(mag / ref), lag_class
 
     @property
     def db(self) -> np.ndarray:
@@ -149,12 +227,8 @@ class AmbiguityMap:
 
         A zero, nan or infinite peak has no normalization: ``ValueError``.
         """
-        mag = self.magnitude
-        peak = mag.max()
-        if not (np.isfinite(peak) and peak > 0):
-            raise ValueError(f"map peak must be finite and positive for a dB normalization, got {peak}")
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(mag / peak)
+        db, lag_class = self._db_rows()
+        return db[lag_class]
 
     def lag_index(self, lag: int) -> int:
         L = self.sequence_length
@@ -176,7 +250,7 @@ class AmbiguityMap:
 
     def to_csv(self, path) -> None:
         """Complex values; header row of angles, first column of lags."""
-        self._write_csv(path, np.ascontiguousarray(self.values).view(float), _COMPLEX_CELL)
+        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), self._index, _COMPLEX_CELL)
 
     def db_to_csv(self, path, reference: float = None) -> None:
         """dB magnitudes in the same layout as :meth:`to_csv`.
@@ -185,31 +259,28 @@ class AmbiguityMap:
         to express the map relative to an external peak (values may then
         exceed 0 dB).  The reference must be finite and positive.
         """
-        if reference is None:
-            db = self.db
-        else:
-            reference = float(reference)
-            if not (np.isfinite(reference) and reference > 0):
-                raise ValueError(f"reference peak must be finite and positive, got {reference}")
-            with np.errstate(divide="ignore"):
-                db = 20.0 * np.log10(self.magnitude / reference)
-        self._write_csv(path, db, _CELL)
+        self._write_csv(path, *self._db_rows(reference), _CELL)
 
-    def _write_csv(self, path, cells, cell_fmt) -> None:
+    def _write_csv(self, path, rows, index, cell_fmt) -> None:
         header = "lag," + ",".join([_CELL] * self.angles.size) % tuple(self.angles.tolist())
-        _write_matrix_csv(path, header, cells, cell_fmt, lags=self.lags.tolist())
+        _write_matrix_csv(path, header, rows, cell_fmt, index=index, lags=self.lags.tolist())
 
     def save_metadata(self, path) -> None:
         Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
 
 
 def _two_terms(pair, p, w, angles):
-    """The validated inputs and the two terms of A(k, theta) = even + odd.
+    """The validated inputs and the two terms of A(k, theta) = even + odd, one row per coefficient pair.
 
-    Returns (x, y, angles, N, f_w, f_z, even, odd) with the lag x angle
-    arrays even = 1/2 (C_x + C_y)[k] f_w(theta) and
-    odd = 1/2 (C_x - C_y)[k] f_z(theta).  f_w and f_z are two mat-vecs on
-    one phase matrix; a single matmul over both may round differently.
+    Returns (x, y, angles, N, f_w, f_z, sums, even, odd, layout).  The
+    distinct int64 pairs (s, d) = ((C_x + C_y)[k], (C_x - C_y)[k]) over
+    the lags k give the rows even = 1/2 s f_w(theta) and
+    odd = 1/2 d f_z(theta); ``sums`` holds s per row, and ``layout`` maps
+    lags to rows as :func:`_lag_rows` describes.  A row takes the same
+    IEEE operations as the dense outer product at each of its lags, so
+    gathering reproduces that array bit for bit.  f_w and f_z are two
+    mat-vecs on one phase matrix; a single matmul over both may round
+    differently.
     """
     x, y = _pair_arrays(pair)
     pp, ww = _schedule_weights(p, w)
@@ -219,21 +290,26 @@ def _two_terms(pair, p, w, angles):
     fz = phases @ (pp * ww)
     cx = np.correlate(x, x, "full")
     cy = np.correlate(y, y, "full")
-    even = 0.5 * np.outer(cx + cy, fw)
-    odd = 0.5 * np.outer(cx - cy, fz)
-    return x, y, ang, int(pp.size), fw, fz, even, odd
+    coef, layout = _lag_rows(cx + cy, cx - cy)
+    even = 0.5 * np.outer(coef[:, 0], fw)
+    odd = 0.5 * np.outer(coef[:, 1], fz)
+    return x, y, ang, int(pp.size), fw, fz, coef[:, 0], even, odd, layout
 
 
 def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
-    x, _, ang, n, fw, _, even, odd = _two_terms(pair, p, w, angles)
-    # both branches work in place, so a map peaks at two lag x angle arrays
+    x, _, ang, n, fw, _, sums, even, odd, layout = _two_terms(pair, p, w, angles)
+    index, zero = layout[0], x.size - 1
     if closed_form:
-        values = odd
-        values[x.size - 1, :] = x.size * fw
+        # exact complementarity: C_x + C_y vanishes at every nonzero lag, so
+        # the zero lag (sum 2L) is the only lag on its row
+        if sums[np.delete(index, zero)].any():
+            raise ValueError("closed form requires a complementary pair")
+        rows = odd
+        rows[index[zero], :] = x.size * fw
     else:
-        values = even
-        values += odd
-    return AmbiguityMap(values=values, angles=ang, kind=kind, n_pulses=n)
+        rows = even
+        rows += odd
+    return AmbiguityMap._from_rows(rows, layout, ang, kind, n)
 
 
 def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:
@@ -257,12 +333,10 @@ def closed_form_ambiguity(pair, p, w, angles, kind: str = "doppler") -> Ambiguit
     """Map via the complementary-pair reduction.
 
     Nonzero lags reduce to 1/2 (C_x - C_y)[k] f_z(theta) and the zero lag
-    to L f_w(theta).  Requires an exactly complementary pair; other pairs
-    are rejected because the reduction does not hold for them.
+    to L f_w(theta).  Requires an exactly complementary pair, checked on
+    the integer correlations the map is built from; other pairs are
+    rejected because the reduction does not hold for them.
     """
-    x, y = _pair_arrays(pair)
-    if not is_golay_pair(x, y):
-        raise ValueError("closed form requires a complementary pair")
     return _two_term_map(pair, p, w, angles, kind, closed_form=True)
 
 
@@ -295,13 +369,12 @@ class SidelobeMetrics:
 
 
 def sidelobe_metrics(amap: AmbiguityMap, reference_peak: float = None) -> SidelobeMetrics:
-    """Sidelobe metrics of a map; rejects the all-zero map."""
-    mag = amap.magnitude
+    """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map."""
+    mag, lag_class = amap._magnitudes()
     if not mag.any():
         raise ValueError("all-zero map has no sidelobe metrics")
-    L = amap.sequence_length
-    profile = mag[L - 1]
-    side = np.delete(mag, L - 1, axis=0).max(axis=0)
+    profile = mag[lag_class[amap.sequence_length - 1]]
+    side = amap.sidelobe_peaks()
     ref = float(profile.max()) if reference_peak is None else float(reference_peak)
     with np.errstate(divide="ignore", invalid="ignore"):
         prsl = 20.0 * np.log10(side / ref)

@@ -155,11 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(argv: list, args: argparse.Namespace) -> list:
+def _config_argv(parser, argv: list, args: argparse.Namespace) -> list:
     """``argv`` with the --config file's values inserted after the subcommand as ``--key value`` flags.
 
-    argparse checks them like any flag; an explicit flag, coming later, wins.  A list fills a
-    multi-value option, ``sample`` takes a list of [lag, angle] pairs, and null keeps the default.
+    ``parser`` checks each key's flags on their own first, so an error names the file and the key;
+    an explicit flag, coming later, wins.  A list fills a multi-value option, ``sample`` takes a
+    list of [lag, angle] pairs, and null keeps the default.
     """
     try:
         cfg = json.loads(Path(args.config).read_text())
@@ -174,10 +175,22 @@ def _config_argv(argv: list, args: argparse.Namespace) -> list:
             raise CliError(f"unknown config key {key!r} for command {args.command!r}")
         if value is None:
             continue
+        flags = []
         for item in value if dest == "sample" and isinstance(value, list) else [value]:
-            tokens += ["--" + dest.replace("_", "-"), *map(str, item if isinstance(item, list) else [item])]
+            flags += ["--" + dest.replace("_", "-"), *map(str, item if isinstance(item, list) else [item])]
+        try:  # each key on its own first, so that an error can name it
+            parser.parse_args([args.command, *flags])
+        except CliError as exc:
+            raise CliError(f"{args.config}: key {key!r}: {exc}") from exc
+        tokens += flags
     at = argv.index(args.command) + 1
     return argv[:at] + tokens + argv[at:]
+
+
+def _check_order(flag: str, interval) -> None:
+    lo, hi = interval
+    if not lo <= hi:  # also rejects nan
+        raise CliError(f"{flag} endpoints out of order: [{lo}, {hi}]")
 
 
 def _require(args, *names) -> None:
@@ -228,6 +241,8 @@ def _eval_angles(args, design: WaveformDesign) -> np.ndarray:
         if design.grid is None:
             raise CliError("design carries no interval; pass --eval-interval")
         interval = design.grid.interval
+    else:
+        _check_order("--eval-interval", interval)
     if args.points < 1:
         raise CliError("--points must be at least 1")
     return evaluation_grid(interval[0], interval[1], args.points)
@@ -237,6 +252,7 @@ def cmd_design(args) -> None:
     _require(args, "n", "interval")
     if args.n < 2:
         raise CliError("--n must be at least 2")
+    _check_order("--interval", args.interval)
     path = _out_dir(args) / args.out
     design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer, args.basis_index)
     design.save(path)
@@ -292,6 +308,7 @@ def cmd_compare(args) -> None:
     _require(args, "n", "interval")
     if args.n < 2:
         raise CliError("--n must be at least 2")
+    _check_order("--interval", args.interval)
     out = _out_dir(args)
     pair = _resolve_pair(args)
     ns = null_space_design(args.n, tuple(args.interval), constraints=args.m)
@@ -337,11 +354,9 @@ def cmd_snr_sweep(args) -> None:
     bad = [n for n in args.n_list if n < 2]
     if bad:
         raise CliError(f"every swept N must be at least 2, got {bad[0]}")
-    lo, hi = args.interval
-    if not lo <= hi:
-        raise CliError(f"--interval endpoints out of order: [{lo}, {hi}]")
+    _check_order("--interval", args.interval)
     path = _out_dir(args) / args.out
-    failure = _write_sweep(path, args, args.n_list, args.optimizers, (lo, hi))
+    failure = _write_sweep(path, args, args.n_list, args.optimizers, tuple(args.interval))
     print(f"wrote {path}")
     if failure:
         raise failure
@@ -349,10 +364,9 @@ def cmd_snr_sweep(args) -> None:
 
 def cmd_polar(args) -> None:
     design, kind, pair, angles = _load_design(args)
-    out = _out_dir(args)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
     scattering = ScatteringMatrix(*args.scattering)
-    # every sample is checked against the axes before any map is computed
+    # every sample is checked against the axes before any map is computed or directory made
     points = []
     for lag_val, angle in args.sample or []:
         if not lag_val.is_integer():
@@ -362,6 +376,7 @@ def cmd_polar(args) -> None:
             raise CliError(f"sample lag {lag} outside [-{pair.length - 1}, {pair.length - 1}]")
         _grid_index(angles, angle)
         points.append((lag, angle))
+    out = _out_dir(args)
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
     for name, channel in amb.channels.items():
         channel.to_csv(out / f"{prefix}_{name}.csv")
@@ -458,7 +473,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if args.config:
-            args = parser.parse_args(_config_argv(argv, args))
+            args = parser.parse_args(_config_argv(parser, argv, args))
         args.func(args)
         return 0
     except EmptyNullSpaceError as exc:

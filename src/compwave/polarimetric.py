@@ -19,6 +19,13 @@ therefore governs everything: if f_z vanishes on the grid, the co-polar
 sidelobes and both cross-polar channels vanish together, and the
 scattering matrix can be read off the output matrix
 U = H [[VV, VH], [HV, HH]].
+
+Each channel is stored factored like the single-antenna map (see
+:class:`~compwave.ambiguity.AmbiguityMap`): VV and HH share one row per
+distinct (C_x + C_y, C_x - C_y) pair, VH and HV hold one row per
+distinct value of C_xy and C_yx.  :func:`output_matrix` reads single
+cells from those rows; a channel's dense array is built only when its
+``values``, ``magnitude`` or ``db`` is read.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityMap, _schedule_weights, _two_terms
+from .ambiguity import AmbiguityMap, _lag_rows, _schedule_weights, _two_terms
 from .design import design_matrix
 
 __all__ = [
@@ -88,18 +95,19 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
     built from their reduced single-term forms; the reversal identities
     behind that reduction are covered by the tests, not checked per call.
     """
-    x, y, ang, n, _, fz, even, odd = _two_terms(pair, p, w, angles)
+    x, y, ang, n, _, fz, _, even, odd, layout = _two_terms(pair, p, w, angles)
     vv = even + odd
-    even -= odd  # HH = even - odd, in place: one lag x angle array fewer at the peak
+    even -= odd  # HH = even - odd, in place
 
-    def channel(values):
-        return AmbiguityMap(values=values, angles=ang, kind=kind, n_pulses=n)
+    def cross(a, b):
+        coef, cross_layout = _lag_rows(np.correlate(a, b, "full"))
+        return AmbiguityMap._from_rows(np.outer(coef[:, 0], fz), cross_layout, ang, kind, n)
 
     return PolarimetricAmbiguity(
-        vv=channel(vv),
-        hh=channel(even),
-        vh=channel(np.outer(np.correlate(x, y, "full"), fz)),
-        hv=channel(np.outer(np.correlate(y, x, "full"), fz)),
+        vv=AmbiguityMap._from_rows(vv, layout, ang, kind, n),
+        hh=AmbiguityMap._from_rows(even, layout, ang, kind, n),
+        vh=cross(x, y),
+        hv=cross(y, x),
     )
 
 
@@ -107,14 +115,15 @@ def output_matrix(scattering: ScatteringMatrix, amb: PolarimetricAmbiguity, lag:
     """U = H [[VV, VH], [HV, HH]] at one (lag, angle) point.
 
     The lag must lie on the map's lag axis and the angle on its
-    evaluation grid; anything else raises ``ValueError``.
+    evaluation grid; anything else raises ``ValueError``.  Reads the
+    channels' stored rows, so no dense map is built.
     """
     i = amb.vv.lag_index(lag)
     j = amb.vv.angle_index(angle)
     channel = np.array(
         [
-            [amb.vv.values[i, j], amb.vh.values[i, j]],
-            [amb.hv.values[i, j], amb.hh.values[i, j]],
+            [amb.vv._row(i)[j], amb.vh._row(i)[j]],
+            [amb.hv._row(i)[j], amb.hh._row(i)[j]],
         ]
     )
     return scattering.matrix @ channel

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from compwave import (
     delay_ambiguity,
     discrete_ambiguity,
     evaluation_grid,
+    as_biphase,
     generate_golay_pair,
+    is_golay_pair,
+    polarimetric_ambiguities,
     sidelobe_metrics,
     slow_time_response,
     write_columns_csv,
@@ -411,3 +415,215 @@ class TestCsvOracle:
         write_columns_csv(path, labels, cols)
         expected = [",".join(labels)] + [",".join(ref_float(v) for v in row) for row in rows]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+# Dense oracle for the factored maps: every lag row as its own outer
+# product, the evaluation the library used before it stored distinct rows.
+def dense_maps(pair, p, w, angles):
+    x, y = (as_biphase(s) for s in pair)
+    fw = slow_time_response(w, angles)
+    fz = slow_time_response(as_biphase(p) * np.asarray(w, dtype=complex), angles)
+    cx, cy = np.correlate(x, x, "full"), np.correlate(y, y, "full")
+    even = 0.5 * np.outer(cx + cy, fw)
+    odd = 0.5 * np.outer(cx - cy, fz)
+    closed = odd.copy()
+    closed[x.size - 1, :] = x.size * fw
+    return {
+        "discrete": even + odd,
+        "closed": closed,
+        "vv": even + odd,
+        "hh": even - odd,
+        "vh": np.outer(np.correlate(x, y, "full"), fz),
+        "hv": np.outer(np.correlate(y, x, "full"), fz),
+    }
+
+
+def dense_quantities(values) -> dict:
+    """Each public map quantity, computed on the dense array."""
+    L = (values.shape[0] + 1) // 2
+    mag = np.abs(values)
+
+    def db():
+        peak = mag.max()
+        if not (np.isfinite(peak) and peak > 0):
+            raise ValueError("no dB normalization")
+        with np.errstate(divide="ignore"):
+            return 20.0 * np.log10(mag / peak)
+
+    def side():
+        return np.delete(mag, L - 1, axis=0).max(axis=0)
+
+    def metrics():
+        if not mag.any():
+            raise ValueError("all-zero map")
+        profile, peaks = mag[L - 1], side()
+        ref = profile.max()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return profile, 20.0 * np.log10(peaks / ref), 20.0 * np.log10(peaks / profile), np.float64(ref)
+
+    return {"values": lambda: values, "magnitude": lambda: mag, "db": db, "peak": lambda: mag.max(),
+            "mainlobe": lambda: values[L - 1], "sidelobe_peaks": side, "sidelobe_metrics": metrics}
+
+
+def map_quantities(amap) -> dict:
+    def metrics():
+        m = sidelobe_metrics(amap)
+        return m.profile, m.prsl_db, m.relative_prsl_db, np.float64(m.reference_peak)
+
+    return {"values": lambda: amap.values, "magnitude": lambda: amap.magnitude, "db": lambda: amap.db,
+            "peak": lambda: np.float64(amap.peak), "mainlobe": lambda: amap.mainlobe,
+            "sidelobe_peaks": amap.sidelobe_peaks, "sidelobe_metrics": metrics}
+
+
+def outcome(fn):
+    """``fn()``'s arrays as (dtype, shape, bytes) triples, or ValueError when it raises one.
+
+    The bytes are exact, signed zeros included, except that every nan
+    part reads as one nan: the sign of a nan made by inf * 0 depends on
+    the array loop numpy picks for a shape, so the dense evaluation does
+    not fix it either (its in-place and out-of-place sums differ there).
+    """
+    try:
+        result = fn()
+    except ValueError:
+        return ValueError
+    out = []
+    for a in map(np.asarray, result if isinstance(result, tuple) else (result,)):
+        parts = np.ascontiguousarray(a).view(float) if a.dtype == complex else a
+        out.append((a.dtype, a.shape, np.where(np.isnan(parts), np.nan, parts).tobytes()))
+    return out
+
+
+def assert_matches_dense(amap, values):
+    """Every public quantity of ``amap`` is bit-identical to the dense oracle's (or both raise)."""
+    expected = dense_quantities(values)
+    for name, fn in map_quantities(amap).items():
+        assert outcome(fn) == outcome(expected[name]), name
+
+
+def library_maps(pair, p, w, angles) -> dict:
+    amb = polarimetric_ambiguities(pair, p, w, angles)
+    maps = {"discrete": discrete_ambiguity(pair, p, w, angles), **amb.channels}
+    if is_golay_pair(*pair):
+        maps["closed"] = closed_form_ambiguity(pair, p, w, angles)
+    return maps
+
+
+@st.composite
+def complementary_pairs(draw):
+    """Golay pairs of length 1..16 under the transforms that keep them complementary."""
+    pair = generate_golay_pair(draw(st.integers(0, 4)))
+    x, y = np.asarray(pair.x), np.asarray(pair.y)
+    if draw(st.booleans()):
+        x, y = y, x
+    if draw(st.booleans()):
+        x = x[::-1]
+    if draw(st.booleans()):
+        y = -y
+    if draw(st.booleans()):
+        alternate = (-1) ** np.arange(x.size)
+        x, y = x * alternate, y * alternate
+    return x, y
+
+
+def biphase(size):
+    return st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def map_cases(draw):
+    """A complementary or arbitrary pair, a schedule, weights (some parts zero) and angles."""
+    arbitrary = st.integers(1, 12).flatmap(lambda L: st.tuples(biphase(L), biphase(L)))
+    pair = draw(st.one_of(complementary_pairs(), arbitrary))
+    n = draw(st.integers(1, 8))
+    part = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
+    w = np.array(draw(st.lists(st.builds(complex, part, part), min_size=n, max_size=n)))
+    angles = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=5)))
+    return pair, draw(biphase(n)), w, angles
+
+
+class TestFactoredMaps:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=map_cases())
+    def test_every_quantity_matches_dense_oracle(self, case):
+        pair, p, w, angles = case
+        dense = dense_maps(pair, p, w, angles)
+        maps = {**library_maps(pair, p, w, angles), "delay": delay_ambiguity(pair, p, w, angles)}
+        dense["delay"] = dense["discrete"]
+        for name, amap in maps.items():
+            assert_matches_dense(amap, dense[name])
+        if not is_golay_pair(*pair):
+            with pytest.raises(ValueError, match="^closed form requires a complementary pair$"):
+                closed_form_ambiguity(pair, p, w, angles)
+
+    def test_zero_lag_row_shared_by_sidelobes(self):
+        # C_xy = [1, 0, 1, 0, 1]: the zero-lag value is also the value at
+        # lags +-2, where it is the sidelobe peak of the cross-polar maps
+        pair, p, w = ([1, -1, 1], [1, 1, 1]), [1, -1, 1], [1.0, 0.5j, -2.0]
+        angles = np.linspace(0.0, 2.0, 7)
+        amb = polarimetric_ambiguities(pair, p, w, angles)
+        fz = np.abs(slow_time_response(np.array(p) * np.array(w), angles))
+        assert np.array_equal(amb.vh.sidelobe_peaks(), fz)
+        assert np.array_equal(sidelobe_metrics(amb.vh).profile, fz)
+        assert_matches_dense(amb.vh, dense_maps(pair, p, w, angles)["vh"])
+
+    def test_closed_form_zero_lag_override(self, pair64):
+        # C_x - C_y is 0 at the zero lag and wherever C_x vanishes, so the
+        # zero lag's odd term is shared; only the zero lag carries L f_w
+        rng = np.random.default_rng(29)
+        p = rng.choice([-1, 1], size=6)
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        angles = np.linspace(0.0, 2.0, 5)
+        amap = closed_form_ambiguity(pair64, p, w, angles)
+        cx = np.correlate(np.asarray(pair64.x), np.asarray(pair64.x), "full")
+        shared = np.flatnonzero(cx == 0)
+        assert shared.size > 0 and np.all(amap.values[shared] == 0)
+        assert np.array_equal(amap.mainlobe, 64 * slow_time_response(w, angles))
+        assert_matches_dense(amap, dense_maps(pair64, p, w, angles)["closed"])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_cells(self, tmp_path, bad):
+        pair, p, w = generate_golay_pair(2), [1, -1, 1], [1.0, bad, 0.5j]
+        angles = np.array([0.0, 0.4, 1.3])
+        dense = dense_maps(pair, p, w, angles)
+        for name, amap in library_maps(pair, p, w, angles).items():
+            assert not np.all(np.isfinite(amap.values))
+            assert_matches_dense(amap, dense[name])
+            with pytest.raises(ValueError, match="finite and positive"):
+                amap.db
+            with pytest.raises(ValueError, match="finite and positive"):
+                amap.db_to_csv(tmp_path / f"{name}.csv")
+            assert not (tmp_path / f"{name}.csv").exists()
+
+    def test_csv_matches_per_cell_reference(self, tmp_path, pair64, design_02):
+        angles = evaluation_grid(0.0, 2.0, 5)
+        amb = polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles)
+        for name, amap in amb.channels.items():
+            amap.to_csv(tmp_path / "map.csv")
+            amap.db_to_csv(tmp_path / "db.csv", reference=float(np.abs(amb.vv.mainlobe).max()))
+            assert (tmp_path / "map.csv").read_text() == ref_map_csv(angles, amap.values, ref_complex)
+            with np.errstate(divide="ignore"):
+                db = 20.0 * np.log10(np.abs(amap.values) / np.abs(amb.vv.mainlobe).max())
+            assert (tmp_path / "db.csv").read_text() == ref_map_csv(angles, db, ref_float)
+
+    def test_summaries_allocate_far_less_than_a_dense_map(self, tmp_path):
+        pair = generate_golay_pair(10)
+        rng = np.random.default_rng(30)
+        p = rng.choice([-1, 1], size=16)
+        w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        angles = evaluation_grid(0.0, 2.0, 257)
+        dense_bytes = (2 * pair.length - 1) * angles.size * 16
+        # a small run first: numpy's lazy imports are not part of the maps
+        sidelobe_metrics(polarimetric_ambiguities(generate_golay_pair(2), p, w, angles[:3]).vv)
+        tracemalloc.start()
+        try:
+            amb = polarimetric_ambiguities(pair, p, w, angles)
+            for name, amap in amb.channels.items():
+                sidelobe_metrics(amap)
+                amap.db_to_csv(tmp_path / f"{name}_db.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the four channels' rows alone are ~1/7 of one dense map here
+        assert peak < dense_bytes / 3

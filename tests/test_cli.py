@@ -84,6 +84,12 @@ class TestDesignCommand:
         assert run("design", "--out-dir", tmp_path, "--n", 8,
                    "--interval", 2, 0) == 1
 
+    @pytest.mark.parametrize("command", ["design", "compare"])
+    def test_reversed_interval_names_the_flag(self, tmp_path, capsys, command):
+        assert run(command, "--out-dir", tmp_path / "out", "--n", 8, "--interval", 2, 0) == 1
+        assert "--interval endpoints out of order: [2.0, 0.0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert run("design", "--out-dir", tmp_path, "--interval", 0, 2) == 1
 
@@ -148,7 +154,7 @@ class TestEvaluateCommand:
         path = make_design(tmp_path)
         assert run("evaluate", "--out-dir", tmp_path, "--design", path,
                    "--eval-interval", 2, 0, "--points", 5) == 1
-        assert "out of order" in capsys.readouterr().err
+        assert "--eval-interval endpoints out of order" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_map.csv"))
 
 
@@ -185,6 +191,19 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 8, "interval": [0, 2], **values}))
         assert run("design", "--out-dir", tmp_path, "--config", cfg) == 1
+        assert not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ({"interval": [0, 2, 3]}, "key 'interval': unrecognized arguments: 3"),
+        ({"interval": 5}, "key 'interval': argument --interval: expected 2 arguments"),
+        ({"n": "x"}, "key 'n': argument --n: invalid int value: 'x'"),
+        ({"optimizer": "bogus"}, "key 'optimizer': argument --optimizer: invalid choice: 'bogus'"),
+    ])
+    def test_value_errors_name_file_and_key(self, tmp_path, capsys, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "interval": [0, 2], **values}))
+        assert run("design", "--out-dir", tmp_path, "--config", cfg) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "design.json").exists()
 
     def test_values_parsed_like_flags(self, tmp_path):
@@ -319,7 +338,7 @@ class TestPolarCommand:
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--eval-interval", 2, 0, "--points", 9) == 1
-        assert "out of order" in capsys.readouterr().err
+        assert "--eval-interval endpoints out of order" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_vv.csv"))
 
     def test_off_grid_sample_angle(self, tmp_path):
@@ -335,6 +354,13 @@ class TestPolarCommand:
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--points", 9, "--sample", 64, 0.0) == 1
         assert not list(tmp_path.glob("*_vv.csv"))
+
+    def test_rejected_sample_makes_no_out_dir(self, tmp_path):
+        path = make_design(tmp_path)
+        for sample in ((999, 0.0), (0, 0.123)):
+            assert run("polar", "--out-dir", tmp_path / "newdir", "--design", path,
+                       "--points", 9, "--sample", *sample) == 1
+            assert not (tmp_path / "newdir").exists()
 
 
 class TestGolayGenCommand:
