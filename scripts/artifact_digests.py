@@ -7,11 +7,12 @@
 The sequence covers every subcommand: ``repro`` at reduced sizes,
 ``design`` with each selection method, a delay design and one from a
 config file, ``evaluate`` (bundled and generated pairs, a gridless
-baseline), ``polar`` with sampled output matrices, ``compare``,
-``snr-sweep`` and ``golay-gen``.  One ``<sha256>  <path>`` line per
-file, sorted by path, goes to standard output.  Run it against two
-library trees and diff the outputs to show that a change keeps every
-artifact byte-identical.  Exits 1 when a command fails.
+baseline), ``polar`` with sampled output matrices, ``evaluate`` and
+``polar`` on a generated L=4096 pair, ``compare``, ``snr-sweep`` and
+``golay-gen``.  One ``<sha256>  <path>`` line per file, sorted by path,
+goes to standard output.  Run it against two library trees and diff the
+outputs to show that a change keeps every artifact byte-identical.
+Exits 1 when a command fails.
 """
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ def sequence(out: Path) -> list:
         ["polar", *o, "--design", str(out / "fb.json"), "--points", "41",
          "--scattering", "0.9+0.1j", "(-0.2+0.3j)", "0.05j", "1", "--sample", "0", "0.0", "--sample", "-5", "1.0"],
         ["polar", *o, "--design", str(out / "delay.json"), "--points", "21", "--sample", "63", "1.0"],
+        ["evaluate", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
+        ["polar", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
         ["snr-sweep", *o, "--n-list", "8", "12", "16", "--restarts", "2", "--sweeps", "3"],
         ["golay-gen", *o, "--log2-length", "5"],
     ]

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import _phase_matrix, evaluation_grid
-from .golay import as_biphase
+from .golay import _correlate, as_biphase
 
 __all__ = [
     "slow_time_response",
@@ -288,8 +288,8 @@ def _two_terms(pair, p, w, angles):
     phases = _phase_matrix(ang, pp.size)
     fw = phases @ ww
     fz = phases @ (pp * ww)
-    cx = np.correlate(x, x, "full")
-    cy = np.correlate(y, y, "full")
+    cx = _correlate(x, x)
+    cy = _correlate(y, y)
     coef, layout = _lag_rows(cx + cy, cx - cy)
     even = 0.5 * np.outer(coef[:, 0], fw)
     odd = 0.5 * np.outer(coef[:, 1], fz)

@@ -253,8 +253,8 @@ def cmd_design(args) -> None:
     if args.n < 2:
         raise CliError("--n must be at least 2")
     _check_order("--interval", args.interval)
-    path = _out_dir(args) / args.out
     design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer, args.basis_index)
+    path = _out_dir(args) / args.out
     design.save(path)
     print(f"wrote {path}")
     report = validate_design(design)
@@ -309,11 +309,11 @@ def cmd_compare(args) -> None:
     if args.n < 2:
         raise CliError("--n must be at least 2")
     _check_order("--interval", args.interval)
-    out = _out_dir(args)
     pair = _resolve_pair(args)
     ns = null_space_design(args.n, tuple(args.interval), constraints=args.m)
     designs = {"ns": ns, "bd": binomial_design(args.n), "ptm": ptm_schedule(args.n)}
     angles = _eval_angles(args, ns)
+    out = _out_dir(args)
     prsl_cols, profile_cols = {}, {}
     for name, design in designs.items():
         design.save(out / f"{args.prefix}_{name}.json")

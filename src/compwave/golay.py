@@ -6,13 +6,15 @@ complementary when the autocorrelations cancel at every nonzero lag:
 
     C_x[k] + C_y[k] = 2 L delta_k.
 
-Correlations of biphase inputs are carried out in exact integer arithmetic
-(int64), so complementarity is checked exactly rather than to a tolerance.
+Correlations of biphase inputs are float64 dot products, which are exact:
+every product is +-1 and every partial sum an integer of magnitude at most
+L < 2**53, so no operation rounds.  The results are returned as int64, and
+complementarity is checked exactly rather than to a tolerance.
 The correlation convention throughout is the matched-filter one,
 
     C_ab[k] = sum_l a[l + k] conj(b[l]),   k = -(L-1) .. L-1,
 
-which is precisely ``np.correlate(a, b, "full")`` with lags ascending.
+which is precisely numpy's ``correlate`` in ``"full"`` mode with lags ascending.
 """
 from __future__ import annotations
 
@@ -96,10 +98,23 @@ class CorrelationProfile:
         return [[int(k), v.item()] for k, v in zip(self.lags, self.values)]
 
 
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full aperiodic correlation of two validated biphase arrays, as exact int64.
+
+    Computed on float64 copies, where numpy has a vectorised dot product
+    (several times faster than its int64 loop at L in the thousands).  The
+    result is exact, with no error bound to state: every product is +-1
+    and every partial sum an integer of magnitude at most min(len(a),
+    len(b)) < 2**53, so each float64 operation is exact in any summation
+    order, whatever the BLAS or FMA.
+    """
+    return np.correlate(a.astype(float), b.astype(float), "full").astype(np.int64)
+
+
 def autocorrelation(s) -> CorrelationProfile:
     """Aperiodic autocorrelation of a biphase sequence, exact in int64."""
     arr = as_biphase(s)
-    return CorrelationProfile(np.correlate(arr, arr, "full"))
+    return CorrelationProfile(_correlate(arr, arr))
 
 
 def cross_correlation(a, b) -> CorrelationProfile:
@@ -111,7 +126,7 @@ def cross_correlation(a, b) -> CorrelationProfile:
     aa, bb = as_biphase(a), as_biphase(b)
     if aa.size != bb.size:
         raise ValueError(f"length mismatch: {aa.size} vs {bb.size}")
-    return CorrelationProfile(np.correlate(aa, bb, "full"))
+    return CorrelationProfile(_correlate(aa, bb))
 
 
 def is_golay_pair(x, y) -> bool:
@@ -119,7 +134,7 @@ def is_golay_pair(x, y) -> bool:
     xx, yy = as_biphase(x), as_biphase(y)
     if xx.size != yy.size:
         raise ValueError(f"length mismatch: {xx.size} vs {yy.size}")
-    total = np.correlate(xx, xx, "full") + np.correlate(yy, yy, "full")
+    total = _correlate(xx, xx) + _correlate(yy, yy)
     expected = np.zeros_like(total)
     expected[xx.size - 1] = 2 * xx.size
     return bool(np.array_equal(total, expected))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityMap, _lag_rows, _schedule_weights, _two_terms
 from .design import design_matrix
+from .golay import _correlate
 
 __all__ = [
     "ScatteringMatrix",
@@ -100,7 +101,7 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
     even -= odd  # HH = even - odd, in place
 
     def cross(a, b):
-        coef, cross_layout = _lag_rows(np.correlate(a, b, "full"))
+        coef, cross_layout = _lag_rows(_correlate(a, b))
         return AmbiguityMap._from_rows(np.outer(coef[:, 0], fz), cross_layout, ang, kind, n)
 
     return PolarimetricAmbiguity(

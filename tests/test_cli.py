@@ -90,6 +90,13 @@ class TestDesignCommand:
         assert "--interval endpoints out of order: [2.0, 0.0]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("command", ["design", "compare"])
+    def test_empty_null_space_makes_no_directory(self, tmp_path, command):
+        assert run(command, "--out-dir", tmp_path / "newdir", "--n", 4,
+                   "--interval", 0, 2, "--m", 4) == 2
+        assert not (tmp_path / "newdir").exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert run("design", "--out-dir", tmp_path, "--interval", 0, 2) == 1
 

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from compwave import (
     CorrelationProfile,
@@ -16,6 +19,7 @@ from compwave import (
     reverse,
     save_sequence,
 )
+from compwave.golay import _correlate
 
 
 def brute_correlation(a, b):
@@ -93,6 +97,52 @@ class TestCorrelations:
     def test_profile_rejects_even_length(self):
         with pytest.raises(ValueError):
             CorrelationProfile(np.array([1, 2, 3, 4]))
+
+
+def biphase_array(n):
+    return arrays(np.int64, n, elements=st.sampled_from([-1, 1]))
+
+
+@st.composite
+def correlation_pairs(draw):
+    """(a, b): arbitrary biphase arrays of equal or unequal length, or a complementary pair."""
+    shape = draw(st.sampled_from(["equal", "unequal", "complementary"]))
+    if shape != "complementary":
+        n = draw(st.integers(1, 512))
+        m = n if shape == "equal" else draw(st.integers(1, 512))
+        return draw(biphase_array(n)), draw(biphase_array(m))
+    # negation, reversal and swapping keep a doubling pair complementary
+    x, y = (np.array(s) for s in generate_golay_pair(draw(st.integers(0, 9))))
+    x, y = draw(st.sampled_from([1, -1])) * x, draw(st.sampled_from([1, -1])) * y
+    if draw(st.booleans()):
+        x, y = x[::-1].copy(), y[::-1].copy()
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+class TestCorrelateHelper:
+    """The float64 correlation helper against numpy's int64 correlation."""
+
+    @staticmethod
+    def assert_exact(a, b):
+        got = _correlate(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.correlate(a, b, "full"))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pair=correlation_pairs())
+    @example(pair=(np.ones(512, dtype=np.int64), np.ones(512, dtype=np.int64)))
+    @example(pair=(np.ones(512, dtype=np.int64), -np.ones(1, dtype=np.int64)))
+    def test_matches_int64_correlate(self, pair):
+        a, b = pair
+        for u, v in ((a, b), (b, a), (a, a), (b, b)):
+            self.assert_exact(u, v)
+
+    def test_doubling_pair_at_8192(self):
+        x, y = generate_golay_pair(13)
+        # all ones: the correlation takes every integer 1..8192, past float16's exact range (2048)
+        ones = np.ones(x.size, dtype=np.int64)
+        for u, v in ((x, x), (y, y), (x, y), (y, x), (ones, ones)):
+            self.assert_exact(u, v)
 
 
 class TestGolayPairs:
