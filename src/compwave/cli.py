@@ -74,7 +74,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _number(cast, low, strict=False):
+    """argparse type: ``cast(text)`` at least ``low``, or above it when ``strict`` (nan fails both)."""
+    def parse(text):
+        value = cast(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'above' if strict else 'at least'} {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+class _Ordered(argparse.Action):
+    """Store an (LO, HI) pair, rejecting LO > HI and nan."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values[0] <= values[1]:
+            raise argparse.ArgumentError(None, f"{option_string} endpoints out of order: {values}")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # every value rule sits on its option, so argparse applies it to flags and
+    # config values alike, for every command, before any work starts
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", help="output directory (default: $COMPWAVE_OUT_DIR or .)")
     common.add_argument("--config", help="JSON config file; flags override file values")
@@ -86,15 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pair_opts.add_argument("--pair-file", help="JSON pair file (overrides --pair)")
 
     eval_opts = _Parser(add_help=False)
-    eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"),
+    eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered,
                            help="evaluation angle interval (default: the design interval)")
-    eval_opts.add_argument("--points", type=int, default=2001, help="evaluation grid size")
+    eval_opts.add_argument("--points", type=_number(int, 1), default=2001, help="evaluation grid size")
 
     hcd_opts = _Parser(add_help=False)
-    hcd_opts.add_argument("--restarts", type=int, default=20, help="hcd optimizer starts")
-    hcd_opts.add_argument("--sweeps", type=int, default=100,
+    hcd_opts.add_argument("--restarts", type=_number(int, 1), default=20, help="hcd optimizer starts")
+    hcd_opts.add_argument("--sweeps", type=_number(int, 1), default=100,
                           help="hcd step budget per restart, in multiples of the null-space width")
-    hcd_opts.add_argument("--eps", type=float, default=1e-6,
+    hcd_opts.add_argument("--eps", type=_number(float, 0, strict=True), default=1e-6,
                           help="hcd stops a restart once a step moves the unit-norm null vector by at most this")
 
     parser = _Parser(prog="compwave", description=__doc__.split("\n\n")[0])
@@ -103,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # "required" options default to None and are checked after parsing,
     # so they may come from either the flags or the config file
     p = sub.add_parser("design", parents=[common, hcd_opts], help="build and store a resilient design")
-    p.add_argument("--n", type=int, help="number of pulses")
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--m", type=int, help="constraint angles (default: N-1)")
+    p.add_argument("--n", type=_number(int, 2), help="number of pulses")
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered)
+    p.add_argument("--m", type=_number(int, 1), help="constraint angles (default: N-1)")
     p.add_argument("--kind", choices=("doppler", "delay"), default="doppler")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="first-basis")
-    p.add_argument("--basis-index", type=int, default=0, help="basis column for first-basis")
+    p.add_argument("--basis-index", type=_number(int, 0), default=0, help="basis column for first-basis")
     p.add_argument("--out", default="design.json", help="design file name")
     p.set_defaults(func=cmd_design)
 
@@ -118,15 +140,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", parents=[common, pair_opts, eval_opts], help="null-space vs baselines")
-    p.add_argument("--n", type=int, default=48)
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_number(int, 2), default=48)
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered)
+    p.add_argument("--m", type=_number(int, 1))
     p.add_argument("--prefix", default="compare")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("snr-sweep", parents=[common, hcd_opts], help="SNR ratio vs number of pulses")
-    p.add_argument("--n-list", type=int, nargs="+", default=[8, 16, 24, 32, 40, 48])
-    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), default=[0.0, 2.0])
+    p.add_argument("--n-list", type=_number(int, 2), nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered, default=[0.0, 2.0])
     p.add_argument("--optimizers", nargs="+", choices=SWEEP_METHODS, default=list(SWEEP_METHODS))
     p.add_argument("--out", default="snr_sweep.csv")
     p.set_defaults(func=cmd_snr_sweep)
@@ -141,14 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("golay-gen", parents=[common], help="generate a complementary pair")
-    p.add_argument("--log2-length", type=int, help="pair length is 2**this")
+    p.add_argument("--log2-length", type=_number(int, 0), help="pair length is 2**this")
     p.add_argument("--out", default="golay_pair.json")
     p.set_defaults(func=cmd_golay_gen)
 
     p = sub.add_parser("repro", parents=[common, hcd_opts], help="full experiment pipeline")
-    p.add_argument("--n", type=int, default=48)
-    p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--n-list", type=int, nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--n", type=_number(int, 2), default=48)
+    p.add_argument("--points", type=_number(int, 1), default=2001)
+    p.add_argument("--n-list", type=_number(int, 2), nargs="+", default=[8, 16, 24, 32, 40, 48])
     p.add_argument("--label", help="directory label (default: timestamp)")
     p.set_defaults(func=cmd_repro)
 
@@ -185,12 +207,6 @@ def _config_argv(parser, argv: list, args: argparse.Namespace) -> list:
         tokens += flags
     at = argv.index(args.command) + 1
     return argv[:at] + tokens + argv[at:]
-
-
-def _check_order(flag: str, interval) -> None:
-    lo, hi = interval
-    if not lo <= hi:  # also rejects nan
-        raise CliError(f"{flag} endpoints out of order: [{lo}, {hi}]")
 
 
 def _require(args, *names) -> None:
@@ -241,18 +257,11 @@ def _eval_angles(args, design: WaveformDesign) -> np.ndarray:
         if design.grid is None:
             raise CliError("design carries no interval; pass --eval-interval")
         interval = design.grid.interval
-    else:
-        _check_order("--eval-interval", interval)
-    if args.points < 1:
-        raise CliError("--points must be at least 1")
     return evaluation_grid(interval[0], interval[1], args.points)
 
 
 def cmd_design(args) -> None:
     _require(args, "n", "interval")
-    if args.n < 2:
-        raise CliError("--n must be at least 2")
-    _check_order("--interval", args.interval)
     design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer, args.basis_index)
     path = _out_dir(args) / args.out
     design.save(path)
@@ -306,9 +315,6 @@ def cmd_evaluate(args) -> None:
 
 def cmd_compare(args) -> None:
     _require(args, "n", "interval")
-    if args.n < 2:
-        raise CliError("--n must be at least 2")
-    _check_order("--interval", args.interval)
     pair = _resolve_pair(args)
     ns = null_space_design(args.n, tuple(args.interval), constraints=args.m)
     designs = {"ns": ns, "bd": binomial_design(args.n), "ptm": ptm_schedule(args.n)}
@@ -351,10 +357,6 @@ def _write_sweep(path: Path, args, n_list, methods, interval):
 
 
 def cmd_snr_sweep(args) -> None:
-    bad = [n for n in args.n_list if n < 2]
-    if bad:
-        raise CliError(f"every swept N must be at least 2, got {bad[0]}")
-    _check_order("--interval", args.interval)
     path = _out_dir(args) / args.out
     failure = _write_sweep(path, args, args.n_list, args.optimizers, tuple(args.interval))
     print(f"wrote {path}")
@@ -398,8 +400,6 @@ def cmd_polar(args) -> None:
 
 def cmd_golay_gen(args) -> None:
     _require(args, "log2-length")
-    if args.log2_length < 0:
-        raise CliError("--log2-length must be nonnegative")
     out = _out_dir(args)
     pair = generate_golay_pair(args.log2_length)
     path = out / args.out

@@ -173,11 +173,13 @@ class GolayPair:
 
     @classmethod
     def load(cls, path) -> "GolayPair":
-        data = json.loads(Path(path).read_text())
         try:
+            data = json.loads(Path(path).read_text())
             return cls(x=data["x"], y=data["y"])
-        except (KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed pair file {path}: {exc}") from exc
+        except ValueError as exc:  # not biphase, or not complementary
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def generate_golay_pair(log2_length: int) -> GolayPair:

@@ -108,10 +108,9 @@ class OptimizerReport:
     sweeps: int
     eps: float
     seed: int = None
-    metadata: dict = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "objective": float(self.objective),
             "snr": float(self.snr),
             "winner": int(self.winner),
@@ -122,9 +121,6 @@ class OptimizerReport:
             "best_lambda": [[float(c.real), float(c.imag)] for c in self.best_lambda],
             "traces": [[float(g) for g in t] for t in self.traces],
         }
-        if self.metadata is not None:
-            out["metadata"] = self.metadata
-        return out
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -136,7 +132,6 @@ def coordinate_descent(
     sweeps: int = 100,
     eps: float = 1e-6,
     seed: int = None,
-    metadata: dict = None,
 ) -> OptimizerReport:
     """Restarted fixed-point L1 ascent on g(lambda) over complex lambda.
 
@@ -207,7 +202,6 @@ def coordinate_descent(
         sweeps=sweeps,
         eps=eps,
         seed=seed,
-        metadata=metadata,
     )
 
 

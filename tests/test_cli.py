@@ -238,6 +238,66 @@ class TestConfigFile:
         assert run("design", "--out-dir", tmp_path, "--config", cfg,
                    "--n", 8, "--interval", 0, 2) == 1
 
+    @pytest.mark.parametrize("command, argv, values, message", [
+        ("design", ["--interval", 0, 2], {"n": 1}, "key 'n': argument --n: must be at least 2, got 1"),
+        ("design", ["--n", 8], {"interval": [2, 0]}, "key 'interval': --interval endpoints out of order: [2.0, 0.0]"),
+        ("snr-sweep", ["--n-list", 8], {"eps": 0}, "key 'eps': argument --eps: must be above 0, got 0"),
+    ], ids=["design-n", "design-interval", "snr-sweep-eps"])
+    def test_option_rules_name_file_and_key(self, tmp_path, capsys, command, argv, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run(command, "--out-dir", tmp_path / "out", "--config", cfg, *argv) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# Each option's value rule, as bad values: one at the rule's boundary, plus nan where it must fail too.
+BAD_VALUES = {
+    "--n": [[1]],
+    "--n-list": [[1, 8]],
+    "--m": [[0]],
+    "--points": [[0]],
+    "--restarts": [[0]],
+    "--sweeps": [[0]],
+    "--basis-index": [[-1]],
+    "--log2-length": [[-1]],
+    "--eps": [[0], ["nan"]],
+    "--interval": [[2, 0], ["nan", 1]],
+    "--eval-interval": [[2, 0], [0, "nan"]],
+}
+
+# command: (an otherwise valid argv, every ruled option the command declares); "DESIGN" is a stored design
+RULED_OPTIONS = {
+    "design": (["--n", 8, "--interval", 0, 2],
+               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--eps"]),
+    "compare": (["--n", 8, "--interval", 0, 2, "--points", 5],
+                ["--n", "--m", "--interval", "--eval-interval", "--points"]),
+    "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
+    "polar": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
+    "snr-sweep": (["--n-list", 8], ["--n-list", "--interval", "--restarts", "--sweeps", "--eps"]),
+    "golay-gen": ([], ["--log2-length"]),
+    "repro": (["--label", "t", "--n", 8, "--points", 5, "--n-list", 8, "--restarts", 2, "--sweeps", 3],
+              ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--eps"]),
+}
+
+
+@pytest.fixture(scope="module")
+def stored_design(tmp_path_factory):
+    return make_design(tmp_path_factory.mktemp("stored"))
+
+
+@pytest.mark.parametrize("command, bad, flag", [
+    pytest.param(command, [flag, *values], flag, id=" ".join(map(str, [command, flag, *values])))
+    for command, (_, flags) in RULED_OPTIONS.items()
+    for flag in flags
+    for values in BAD_VALUES[flag]
+])
+def test_option_rules_checked_before_any_work(tmp_path, capsys, stored_design, command, bad, flag):
+    valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
+    assert run(command, "--out-dir", tmp_path / "out", *valid, *bad) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 class TestSnrSweepCommand:
     def test_sweep_table(self, tmp_path):

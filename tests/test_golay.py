@@ -252,6 +252,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             GolayPair.load(path)
 
+    @pytest.mark.parametrize("content", [
+        "not json",
+        json.dumps({"x": [1, 1]}),
+        json.dumps({"x": [1, 0], "y": [1, -1]}),
+        json.dumps({"x": [1, 1], "y": [1, 1]}),
+    ], ids=["not-json", "missing-key", "not-biphase", "not-complementary"])
+    def test_pair_load_errors_name_the_file(self, tmp_path, content):
+        path = tmp_path / "pair.json"
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            GolayPair.load(path)
+        assert str(path) in str(info.value)
+
     def test_bundled_fixture_loads(self):
         pair = length64_pair()
         assert pair.length == 64

@@ -178,16 +178,13 @@ class TestCoordinateDescent:
 
     def test_report_round_trip(self, tmp_path, basis_16):
         _, Z = basis_16
-        report = coordinate_descent(
-            Z, restarts=2, sweeps=3, seed=9, metadata={"n_pulses": 16}
-        )
+        report = coordinate_descent(Z, restarts=2, sweeps=3, seed=9)
         path = tmp_path / "optimizer.json"
         report.save(path)
         data = json.loads(path.read_text())
         assert data["restarts"] == 2 and data["sweeps"] == 3 and data["seed"] == 9
         assert data["winner"] == report.winner
         assert data["objective"] == report.objective
-        assert data["metadata"] == {"n_pulses": 16}
         lam = np.array([complex(re, im) for re, im in data["best_lambda"]])
         assert np.array_equal(lam, report.best_lambda)
         assert data["traces"] == report.traces
