@@ -5,8 +5,9 @@
     python3 scripts/artifact_digests.py --src OTHER/src   # another checkout's library
 
 The sequence covers every subcommand: ``repro`` at reduced sizes,
-``design`` with each selection method, a delay design and one from a
-config file, ``evaluate`` (bundled and generated pairs, a gridless
+``design`` with each selection method (hcd also on a 9-wide null space,
+so the optimizer's multi-dimensional path is covered), a delay design
+and one from a config file, ``evaluate`` (bundled and generated pairs, a gridless
 baseline), ``polar`` with sampled output matrices, ``evaluate`` and
 ``polar`` on a generated L=4096 pair, ``compare``, ``snr-sweep`` and
 ``golay-gen``.  One ``<sha256>  <path>`` line per file, sorted by path,
@@ -40,6 +41,8 @@ def sequence(out: Path) -> list:
         ["design", *o, "--n", "16", "--interval", "0", "2", "--optimizer", "bs", "--out", "bs.json"],
         ["design", *o, "--n", "12", "--interval", "0", "2", "--optimizer", "hcd",
          "--restarts", "2", "--sweeps", "3", "--out", "hcd.json"],
+        ["design", *o, "--n", "40", "--interval", "0", "2", "--optimizer", "hcd", "--restarts", "4",
+         "--out", "hcd40.json"],
         ["design", *o, "--n", "16", "--interval", "0", "1", "--kind", "delay", "--out", "delay.json"],
         ["design", *o, "--config", str(out / "config.json")],
         ["compare", *o, "--n", "16", "--interval", "0", "2", "--points", "101"],

@@ -55,6 +55,7 @@ from .snropt import (
     design_from_lambda,
     hcd,
     snr_ratio,
+    snr_upper_bound,
 )
 from .polarimetric import (
     PolarimetricAmbiguity,
@@ -105,6 +106,7 @@ __all__ = [
     "design_from_lambda",
     "hcd",
     "snr_ratio",
+    "snr_upper_bound",
     "PolarimetricAmbiguity",
     "ScatteringMatrix",
     "cross_channel_nulls",

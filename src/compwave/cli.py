@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", help="output directory (default: $COMPWAVE_OUT_DIR or .)")
     common.add_argument("--config", help="JSON config file; flags override file values")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
+    common.add_argument("--seed", type=_number(int, 0), default=0, help="seed for randomized paths")
 
     pair_opts = _Parser(add_help=False)
     pair_opts.add_argument("--pair", default="length64",

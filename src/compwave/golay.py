@@ -221,4 +221,7 @@ def load_sequence(path) -> np.ndarray:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed sequence file {path}: {exc}") from exc
-    return as_biphase(data)
+    try:
+        return as_biphase(data)
+    except ValueError as exc:  # not a 1-D +1/-1 sequence
+        raise ValueError(f"{path}: {exc}") from exc

@@ -22,8 +22,11 @@ orthonormal basis of range(Z) and v = Q mu on the unit sphere, g is
     u = phase(Q mu),      mu <- Q^H u / ||Q^H u||
 
 never lowers ||Q mu||_1: the new mu maximizes Re(u^H Q mu) on the
-sphere, and ||Q mu||_1 >= Re(u^H Q mu) for every unimodular u.  Each
-step costs one matrix-vector product pair.
+sphere, and ||Q mu||_1 >= Re(u^H Q mu) for every unimodular u.  The
+restarts step in lockstep as the columns of one block V = Q M, so a
+step of all running restarts costs one matrix-matrix product pair;
+lambda = R^{-1} mu is formed once, at the end.  ``snr_upper_bound``
+certifies how far the best ratio can lie above a found one.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ __all__ = [
     "coordinate_descent",
     "hcd",
     "design_from_lambda",
+    "snr_upper_bound",
 ]
 
 
@@ -145,6 +149,14 @@ def coordinate_descent(
     ``eps`` in 2-norm.  A rejected step is recorded in the trace with
     the unchanged g and leaves lambda as it was, so a restart that
     accepts no step returns its start.
+
+    All restarts step together in the orthonormal frame, as the columns
+    of one block V = Q M; a restart leaves the block when it stops.  Its
+    lambda = R^{-1} mu is formed once, at the end, and its g measured
+    again on Z lambda: that value ends its trace (earlier entries are
+    floored at it, which moves only entries within rounding of it), and
+    a restart whose mapped-back g is not below its start returns the
+    start.  The winner is the first restart with the lowest g.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     width = Z.shape[1]
@@ -159,41 +171,65 @@ def coordinate_descent(
     rng = np.random.default_rng(seed)
     vertex = int(np.argmax(np.abs(Z).sum(axis=0)))
     Q, R = np.linalg.qr(Z)
+    Qh = Q.conj().T
 
-    best_lam, best_g, best_r = None, math.inf, -1
+    # row r of starts is restart r's lambda; restart 0 is the vertex itself,
+    # unscaled, so Z lambda is its column bit for bit
+    starts = np.zeros((restarts, width), dtype=complex)
+    starts[:, vertex] = 1.0
+    for r in range(1, restarts):
+        draw = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        if np.any(Z @ draw != 0):
+            starts[r] = draw / np.linalg.norm(Z @ draw)
+    g = np.array([_objective(Z @ lam) for lam in starts])
+    v = Z @ starts.T
+
+    # lockstep: the columns v of the active restarts step together; each state
+    # is kept as M[:, r] = mu with Z lambda = Q mu, and mapped back once at the end
+    M = Qh @ v
+    history = [g.copy()]
+    steps = np.zeros(restarts, dtype=int)
+    moved = np.zeros(restarts, dtype=int)
+    active = np.arange(restarts)
+    for it in range(1, sweeps * width + 1):
+        mags = np.abs(v)
+        mu = Qh @ np.divide(v, mags, out=np.ones_like(v), where=mags > 0)
+        mu /= np.linalg.norm(mu, axis=0)
+        v_new = Q @ mu
+        mags = np.abs(v_new)
+        l1 = mags.sum(axis=0)
+        g_new = 1.0 / (l1 * l1 / (mags * mags).sum(axis=0))
+        better = np.flatnonzero(g_new < g[active])
+        accepted = active[better]
+        step = np.linalg.norm(mu[:, better] - M[:, accepted], axis=0)
+        M[:, accepted] = mu[:, better]
+        g[accepted] = g_new[better]
+        moved[accepted] = it
+        steps[active] = it
+        history.append(g.copy())
+        going = step > eps
+        active, v = accepted[going], v_new[:, better[going]]
+        if not active.size:
+            break
+
+    # g of a moved restart is measured again on Z lambda, with the very lambda
+    # array that is reported; one that no longer beats its start returns the
+    # start, so the winner never falls below the vertex
+    history = np.array(history)
+    lam = list(starts)
+    for r, cand in zip(np.flatnonzero(moved), np.linalg.solve(R, M[:, moved > 0]).T.copy()):
+        g_cand = _objective(Z @ cand)
+        lam[r], g[r] = (cand, g_cand) if g_cand < history[0, r] else (starts[r], history[0, r])
     traces = []
     for r in range(restarts):
-        # restart 0 is the vertex itself, unscaled, so Z lambda is its column bit for bit
-        lam = np.zeros(width, dtype=complex)
-        lam[vertex] = 1.0
-        if r > 0:
-            draw = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-            if np.any(Z @ draw != 0):
-                lam = draw / np.linalg.norm(Z @ draw)
-        v = Z @ lam
-        g_cur = _objective(v)
-        trace = [g_cur]
-        for _ in range(sweeps * width):
-            mags = np.abs(v)
-            u = np.divide(v, mags, out=np.ones_like(v), where=mags > 0)
-            mu = Q.conj().T @ u
-            cand = np.linalg.solve(R, mu / np.linalg.norm(mu))
-            v_new = Z @ cand
-            g_new = _objective(v_new)
-            if not g_new < g_cur:
-                trace.append(g_cur)
-                break
-            step = np.linalg.norm(v_new - v)
-            lam, v, g_cur = cand, v_new, g_new
-            trace.append(g_cur)
-            if step <= eps:
-                break
-        traces.append(trace)
-        if g_cur < best_g:
-            best_lam, best_g, best_r = lam, g_cur, r
+        trace = history[: steps[r] + 1, r]
+        trace[moved[r]:] = g[r]
+        traces.append(np.maximum(trace, g[r]).tolist())
+    best_r = int(np.argmin(g))
+    best_g = float(g[best_r])
 
     return OptimizerReport(
-        best_lambda=best_lam,
+        best_lambda=lam[best_r],
         objective=best_g,
         snr=1.0 / best_g,
         winner=best_r,
@@ -223,3 +259,32 @@ def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesi
     if not np.any(v != 0):
         raise ValueError("Z @ lambda is the zero vector")
     return design_from_vector(v, grid)
+
+
+def snr_upper_bound(Z: np.ndarray, v) -> float:
+    """Certified upper bound on snr_ratio(Z lambda) over every lambda.
+
+    With Q an orthonormal basis of range(Z), the best ratio is the
+    maximum of u^H P u, P = Q Q^H, over unimodular u.  For any y > 0 and
+    D = diag(y), u^H D u = sum(y) on that set, so
+
+        u^H P u <= lambda_max(D^{-1/2} P D^{-1/2}) * sum(y)
+
+    (the dual of the complex SDP relaxation; Zhang & Huang, SIAM J.
+    Optim. 16(3), 2006).  Here y = |v| * ||v||_1 for a vector v with no
+    zero entry, typically the optimizer's own Z lambda, which makes the
+    bound exact when U = 1.  The nonzero eigenvalues of
+    D^{-1/2} Q Q^H D^{-1/2} are those of the U x U matrix
+    Q^H D^{-1} Q, so one small ``eigvalsh`` suffices.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    mags = np.abs(np.asarray(v, dtype=complex).ravel())
+    if Z.size == 0 or Z.shape[1] < 1:
+        raise ValueError("empty basis")
+    if mags.size != Z.shape[0]:
+        raise ValueError(f"v length {mags.size} does not match basis length {Z.shape[0]}")
+    if not (np.all(mags > 0) and np.all(np.isfinite(mags))):
+        raise ValueError("v must have finite, nonzero entries")
+    y = mags * mags.sum()
+    A = np.linalg.qr(Z)[0] / np.sqrt(y)[:, None]
+    return float(np.linalg.eigvalsh(A.conj().T @ A)[-1] * y.sum())

@@ -261,6 +261,7 @@ BAD_VALUES = {
     "--sweeps": [[0]],
     "--basis-index": [[-1]],
     "--log2-length": [[-1]],
+    "--seed": [[-1]],
     "--eps": [[0], ["nan"]],
     "--interval": [[2, 0], ["nan", 1]],
     "--eval-interval": [[2, 0], [0, "nan"]],
@@ -269,15 +270,15 @@ BAD_VALUES = {
 # command: (an otherwise valid argv, every ruled option the command declares); "DESIGN" is a stored design
 RULED_OPTIONS = {
     "design": (["--n", 8, "--interval", 0, 2],
-               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--eps"]),
+               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--eps", "--seed"]),
     "compare": (["--n", 8, "--interval", 0, 2, "--points", 5],
-                ["--n", "--m", "--interval", "--eval-interval", "--points"]),
-    "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
-    "polar": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
-    "snr-sweep": (["--n-list", 8], ["--n-list", "--interval", "--restarts", "--sweeps", "--eps"]),
-    "golay-gen": ([], ["--log2-length"]),
+                ["--n", "--m", "--interval", "--eval-interval", "--points", "--seed"]),
+    "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points", "--seed"]),
+    "polar": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points", "--seed"]),
+    "snr-sweep": (["--n-list", 8], ["--n-list", "--interval", "--restarts", "--sweeps", "--eps", "--seed"]),
+    "golay-gen": ([], ["--log2-length", "--seed"]),
     "repro": (["--label", "t", "--n", 8, "--points", 5, "--n-list", 8, "--restarts", 2, "--sweeps", 3],
-              ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--eps"]),
+              ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--eps", "--seed"]),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,13 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("[1, 0, -1]")
         with pytest.raises(ValueError):
+            load_sequence(path)
+
+    @pytest.mark.parametrize("text", ["[1, 0, -1]", "[[1, -1]]", "[]"])
+    def test_load_sequence_error_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_sequence(path)
 
     def test_pair_round_trip(self, tmp_path, pair64):

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from compwave import (
     hcd,
     null_space_basis,
     snr_ratio,
+    snr_upper_bound,
 )
 
 
@@ -223,3 +226,124 @@ class TestOptimizerProperties:
             step = Q.conj().T @ (v / np.abs(v))
             gap = np.linalg.norm(step / np.linalg.norm(step) - mu / np.linalg.norm(mu))
             assert gap <= 1e-6
+
+
+def _sequential_reference(Z, restarts=20, sweeps=100, eps=1e-6, seed=None):
+    """The restart-by-restart loop, stepping in lambda, that the lockstep optimizer replaced.
+
+    Kept as its oracle; returns (traces, snr of the first restart with the lowest g).
+    """
+    Z = np.asarray(Z, dtype=complex)
+    width = Z.shape[1]
+    rng = np.random.default_rng(seed)
+    vertex = int(np.argmax(np.abs(Z).sum(axis=0)))
+    Q, R = np.linalg.qr(Z)
+
+    def objective(v):
+        return 1.0 / snr_ratio(v)
+
+    best_g, traces = math.inf, []
+    for r in range(restarts):
+        lam = np.zeros(width, dtype=complex)
+        lam[vertex] = 1.0
+        if r > 0:
+            draw = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            if np.any(Z @ draw != 0):
+                lam = draw / np.linalg.norm(Z @ draw)
+        v = Z @ lam
+        g_cur = objective(v)
+        trace = [g_cur]
+        for _ in range(sweeps * width):
+            mags = np.abs(v)
+            u = np.divide(v, mags, out=np.ones_like(v), where=mags > 0)
+            mu = Q.conj().T @ u
+            cand = np.linalg.solve(R, mu / np.linalg.norm(mu))
+            v_new = Z @ cand
+            g_new = objective(v_new)
+            if not g_new < g_cur:
+                trace.append(g_cur)
+                break
+            step = np.linalg.norm(v_new - v)
+            v, g_cur = v_new, g_new
+            trace.append(g_cur)
+            if step <= eps:
+                break
+        traces.append(trace)
+        best_g = min(best_g, g_cur)
+    return traces, 1.0 / best_g
+
+
+@functools.cache
+def _paper_case(n, hi):
+    """(grid, basis, default hcd report, seed 0) of the CLI's N-pulse design on [0, hi]."""
+    grid = ResilienceGrid.uniform(0.0, hi, n - 1)
+    Z = null_space_basis(design_matrix(grid, n))
+    return grid, Z, coordinate_descent(Z, seed=0)
+
+
+class TestLockstepOracle:
+    @pytest.mark.parametrize("n, hi", [(32, 2.0), (40, 2.0), (48, 2.0), (64, 2.0), (48, math.pi)])
+    def test_paper_bases_match_sequential_loop(self, n, hi):
+        grid, Z, report = _paper_case(n, hi)
+        traces, snr = _sequential_reference(Z, seed=0)
+        assert [len(t) for t in report.traces] == [len(t) for t in traces]
+        assert report.snr == pytest.approx(snr, rel=1e-12)
+        assert report.traces[report.winner][-1] == report.objective == 1.0 / snr_ratio(Z @ report.best_lambda)
+        for trace in report.traces:
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
+        design = design_from_lambda(Z, report.best_lambda, grid)
+        assert snr_ratio(design.w) == pytest.approx(report.snr, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(basis_draws)
+    def test_random_bases_match_sequential_loop(self, draw):
+        seed, n, width, orthonormal = draw
+        Z = _random_basis(seed, n, width, orthonormal)
+        report = coordinate_descent(Z, restarts=3, seed=seed)
+        assert report.snr == pytest.approx(_sequential_reference(Z, restarts=3, seed=seed)[1], rel=1e-12)
+        v = Z @ report.best_lambda
+        assert snr_ratio(v) >= snr_ratio(basis_selection(Z))
+        assert snr_upper_bound(Z, v) >= snr_ratio(v) * (1 - 1e-13)
+
+    def test_one_dimensional_bases_never_fall_below_vertex(self):
+        # at U = 1 every step moves g by rounding only, so steps accepted on
+        # Q mu can be lost when lambda is mapped back; such a restart returns its start
+        for seed in range(200):
+            Z = _random_basis(seed, 2 + seed % 23, 1, False)
+            report = coordinate_descent(Z, restarts=3, seed=seed)
+            assert snr_ratio(Z @ report.best_lambda) >= snr_ratio(basis_selection(Z))
+
+    def test_step_budget_is_not_allocated_up_front(self, basis_16):
+        _, Z = basis_16
+        report = coordinate_descent(Z, restarts=2, sweeps=10**15, seed=1)
+        assert all(len(t) <= 3 for t in report.traces)
+
+
+class TestSnrUpperBound:
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40, 48, 64, 96])
+    def test_certifies_the_paper_designs(self, n):
+        _, Z, report = _paper_case(n, 2.0)
+        v = Z @ report.best_lambda
+        ratio, bound = snr_ratio(v), snr_upper_bound(Z, v)
+        assert bound >= ratio * (1 - 1e-13)
+        assert bound - ratio <= 1e-3 * ratio
+        if Z.shape[1] == 1:
+            assert bound <= ratio * (1 + 1e-13)
+
+    def test_random_combinations_stay_below(self):
+        _, Z, report = _paper_case(48, 2.0)
+        bound = snr_upper_bound(Z, Z @ report.best_lambda)
+        rng = np.random.default_rng(36)
+        lam = rng.standard_normal((Z.shape[1], 2000)) + 1j * rng.standard_normal((Z.shape[1], 2000))
+        mags = np.abs(Z @ lam)
+        assert np.all(mags.sum(axis=0) ** 2 / (mags * mags).sum(axis=0) <= bound)
+
+    def test_invalid_inputs(self, basis_16):
+        _, Z = basis_16
+        v = Z[:, 0]
+        with pytest.raises(ValueError, match="nonzero"):
+            snr_upper_bound(Z, np.concatenate([v[:-1], [0.0]]))
+        with pytest.raises(ValueError, match="does not match"):
+            snr_upper_bound(Z, v[:-1])
+        with pytest.raises(ValueError, match="empty"):
+            snr_upper_bound(np.zeros((4, 0)), np.ones(4))
