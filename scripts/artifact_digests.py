@@ -6,7 +6,8 @@
 
 The sequence covers every subcommand: ``repro`` at reduced sizes,
 ``design`` with each selection method (hcd also on a 9-wide null space,
-so the optimizer's multi-dimensional path is covered), a delay design
+so the optimizer's multi-dimensional path is covered; bs and hcd also with
+an explicit M, one of them M >= N), a delay design
 and one from a config file, ``evaluate`` (bundled and generated pairs, a gridless
 baseline), ``polar`` with sampled output matrices, ``evaluate`` and
 ``polar`` on a generated L=4096 pair, ``compare``, ``snr-sweep`` and
@@ -43,6 +44,10 @@ def sequence(out: Path) -> list:
          "--restarts", "2", "--sweeps", "3", "--out", "hcd.json"],
         ["design", *o, "--n", "40", "--interval", "0", "2", "--optimizer", "hcd", "--restarts", "4",
          "--out", "hcd40.json"],
+        ["design", *o, "--n", "12", "--interval", "0", "0.05", "--m", "20", "--optimizer", "bs",
+         "--out", "bs_m20.json"],
+        ["design", *o, "--n", "10", "--interval", "0", "1.5", "--m", "6", "--optimizer", "hcd",
+         "--restarts", "2", "--out", "hcd_m6.json"],
         ["design", *o, "--n", "16", "--interval", "0", "1", "--kind", "delay", "--out", "delay.json"],
         ["design", *o, "--config", str(out / "config.json")],
         ["compare", *o, "--n", "16", "--interval", "0", "2", "--points", "101"],

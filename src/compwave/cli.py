@@ -39,11 +39,9 @@ from .ambiguity import (
 from .baselines import binomial_design, ptm_schedule
 from .design import (
     EmptyNullSpaceError,
-    ResilienceGrid,
     WaveformDesign,
+    _null_space,
     design_from_vector,
-    design_matrix,
-    null_space_basis,
     null_space_design,
     validate_design,
 )
@@ -243,8 +241,7 @@ def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis
         return binomial_design(n), None
     if method == "first-basis":
         return null_space_design(n, interval, constraints=m, kind=kind, basis_index=basis_index), None
-    grid = ResilienceGrid.uniform(interval[0], interval[1], n - 1 if m is None else m, kind=kind)
-    basis = null_space_basis(design_matrix(grid, n))
+    grid, basis = _null_space(n, interval, m, kind)
     if method == "bs":
         return design_from_vector(basis_selection(basis), grid), None
     report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, eps=args.eps, seed=args.seed)
@@ -430,8 +427,17 @@ def cmd_repro(args) -> None:
     emit("interval_schedule.csv", write_two_column_csv, idx, interval_design.p, ("pulse", "p"))
     emit("interval_weight_magnitude.csv", write_two_column_csv, idx, np.abs(interval_design.w), ("pulse", "abs_w"))
 
+    # one polarimetric evaluation per null-space or binomial design: its VV channel is
+    # bit for bit the single-antenna map, and its VH channel is written after the sweep
+    cross = {}  # tag -> (VH map, co-polar mainlobe peak)
+
+    def co_polar(tag, design, angles):
+        amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
+        cross[tag] = (amb.vh, float(np.abs(amb.vv.mainlobe).max()))
+        return amb.vv
+
     angles_interval = evaluation_grid(0.0, 2.0, args.points)
-    amap = discrete_ambiguity(pair, interval_design.p, interval_design.w, angles_interval)
+    amap = co_polar("interval", interval_design, angles_interval)
     emit("interval_map_db.csv", amap.db_to_csv)
     emit("interval_map_meta.json", amap.save_metadata)
     emit("interval_prsl.csv", sidelobe_metrics(amap).prsl_to_csv)
@@ -440,11 +446,12 @@ def cmd_repro(args) -> None:
     overall = null_space_design(n, (0.0, np.pi))
     emit("overall_design.json", overall.save)
     angles_overall = evaluation_grid(0.0, np.pi, args.points)
-    bd = binomial_design(n)
     columns = {}
-    for name, design in (("ns", overall), ("bd", bd), ("ptm", ptm_schedule(n))):
-        dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
-        if name != "ptm":
+    for name, design in (("ns", overall), ("bd", binomial_design(n)), ("ptm", ptm_schedule(n))):
+        if name == "ptm":
+            dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
+        else:
+            dmap = co_polar("overall" if name == "ns" else name, design, angles_overall)
             emit(f"overall_{name}_map_db.csv", dmap.db_to_csv)
         columns[name] = sidelobe_metrics(dmap).prsl_db
     emit("overall_prsl_comparison.csv", write_columns_csv, ["angle", *columns], [angles_overall, *columns.values()])
@@ -453,13 +460,8 @@ def cmd_repro(args) -> None:
     sweep_failure = emit("snr_vs_pulses.csv", _write_sweep, args, args.n_list, SWEEP_METHODS, (0.0, 2.0))
 
     # cross-polar channels, referenced to each run's co-polar mainlobe peak
-    for tag, design, angles in (
-        ("interval", interval_design, angles_interval),
-        ("overall", overall, angles_overall),
-        ("bd", bd, angles_overall),
-    ):
-        amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
-        emit(f"polar_{tag}_vh_db.csv", amb.vh.db_to_csv, float(np.abs(amb.vv.mainlobe).max()))
+    for tag, (vh, reference) in cross.items():
+        emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference)
 
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out / 'manifest.json'}")

@@ -19,7 +19,6 @@ so that p * w reproduces z exactly.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +38,10 @@ __all__ = [
 ]
 
 GRID_KINDS = ("doppler", "delay")
+
+# every design's usability bounds: null residual at most _NULL_TOL, mainlobe residual above _MAINLOBE_TOL
+_NULL_TOL = 1e-10
+_MAINLOBE_TOL = 1e-3
 
 
 class EmptyNullSpaceError(RuntimeError):
@@ -120,14 +123,14 @@ def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * np.outer(angles, np.arange(n)))
 
 
-def null_space_basis(matrix: np.ndarray, rtol: float = None) -> np.ndarray:
+def null_space_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical null space, shape (N, U).
 
     Columns are the right singular vectors whose singular values fall at
-    or below ``max(M, N) * eps * sigma_max`` (the LAPACK-style default;
-    pass ``rtol`` to override the relative threshold).  Each column's
-    phase is canonicalized so its largest-magnitude entry is real and
-    positive, making the basis deterministic across runs.
+    or below ``max(M, N) * eps * sigma_max``, the LAPACK-style cut every
+    design method uses (the tests pin its margins).  Each column's phase
+    is canonicalized so its largest-magnitude entry is real and positive,
+    making the basis deterministic across runs.
 
     Raises
     ------
@@ -138,10 +141,7 @@ def null_space_basis(matrix: np.ndarray, rtol: float = None) -> np.ndarray:
     E = np.atleast_2d(np.asarray(matrix))
     m, n = E.shape
     _, sv, vh = np.linalg.svd(E)
-    if rtol is None:
-        tol = max(m, n) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    else:
-        tol = rtol * (sv[0] if sv.size else 0.0)
+    tol = max(m, n) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int((sv > tol).sum())
     if rank >= n:
         raise EmptyNullSpaceError(
@@ -197,6 +197,8 @@ class WaveformDesign:
             raise ValueError(f"schedule/weight length mismatch: {p.size} vs {w.size}")
         if not np.any(w != 0):
             raise ValueError("all-zero weight vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         p.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -270,6 +272,18 @@ def design_from_vector(zhat: np.ndarray, grid: ResilienceGrid) -> WaveformDesign
     return WaveformDesign(p=p, w=w, grid=grid, residual=residual)
 
 
+def _null_space(n_pulses: int, interval, constraints, kind: str):
+    """(grid, basis): ``constraints`` uniform angles over ``interval`` (default N - 1) and the
+    :func:`null_space_basis` of their phase matrix, for every grid-based design method."""
+    if n_pulses < 2:
+        raise ValueError("need at least 2 pulses for a nontrivial design")
+    m = n_pulses - 1 if constraints is None else int(constraints)
+    if m < 1:
+        raise ValueError("need at least one constraint angle")
+    grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)
+    return grid, null_space_basis(design_matrix(grid, n_pulses))
+
+
 def null_space_design(
     n_pulses: int,
     interval,
@@ -292,24 +306,10 @@ def null_space_design(
     basis_index : int
         Which basis column becomes the design (default: first).
 
-    The rank cut is :func:`null_space_basis`'s default.  With M >= N the
-    matrix is generically full rank; a warning is issued before the
-    attempt and :class:`EmptyNullSpaceError` propagates if the numerical
-    null space is indeed empty.
+    The rank cut of :func:`null_space_basis` alone decides, also for
+    M >= N; :class:`EmptyNullSpaceError` reports an empty null space.
     """
-    if n_pulses < 2:
-        raise ValueError("need at least 2 pulses for a nontrivial design")
-    m = n_pulses - 1 if constraints is None else int(constraints)
-    if m < 1:
-        raise ValueError("need at least one constraint angle")
-    if m >= n_pulses:
-        warnings.warn(
-            f"{m} constraint angles with only {n_pulses} pulses: the constraint "
-            "matrix may have full column rank and an empty null space",
-            stacklevel=2,
-        )
-    grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)
-    basis = null_space_basis(design_matrix(grid, n_pulses))
+    grid, basis = _null_space(n_pulses, interval, constraints, kind)
     if not 0 <= basis_index < basis.shape[1]:
         raise ValueError(f"basis_index {basis_index} outside 0..{basis.shape[1] - 1}")
     return design_from_vector(basis[:, basis_index], grid)
@@ -327,8 +327,8 @@ class DesignReport:
 
     nullspace_residual: float
     mainlobe_residual: float
-    null_tol: float
-    mainlobe_tol: float
+    null_tol: float = _NULL_TOL
+    mainlobe_tol: float = _MAINLOBE_TOL
 
     @property
     def nullspace_ok(self) -> bool:
@@ -354,24 +354,17 @@ class DesignReport:
         }
 
 
-def validate_design(
-    design: WaveformDesign,
-    matrix: np.ndarray = None,
-    null_tol: float = 1e-10,
-    mainlobe_tol: float = 1e-3,
-) -> DesignReport:
-    """Check the emitted-design conditions against the constraint matrix.
+def validate_design(design: WaveformDesign) -> DesignReport:
+    """Check the emitted-design conditions on the phase matrix of ``design.grid``.
 
-    Uses ``design.grid`` to rebuild E when ``matrix`` is not supplied.
+    The bounds are fixed: null residual at most 1e-10, mainlobe residual
+    above 1e-3.  ValueError for a design without a grid (a baseline scheme).
     """
-    if matrix is None:
-        if design.grid is None:
-            raise ValueError("design carries no grid; pass the constraint matrix explicitly")
-        matrix = design_matrix(design.grid, design.n_pulses)
+    if design.grid is None:
+        raise ValueError("design carries no grid to check its conditions on")
+    matrix = design_matrix(design.grid, design.n_pulses)
     wnorm = np.linalg.norm(design.w)
     return DesignReport(
         nullspace_residual=float(np.linalg.norm(matrix @ design.z) / wnorm),
         mainlobe_residual=float(np.linalg.norm(matrix @ design.w) / wnorm),
-        null_tol=null_tol,
-        mainlobe_tol=mainlobe_tol,
     )

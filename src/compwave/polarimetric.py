@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguityMap, _lag_rows, _schedule_weights, _two_terms
-from .design import design_matrix
+from .design import _NULL_TOL, design_matrix
 from .golay import _correlate
 
 __all__ = [
@@ -130,16 +130,17 @@ def output_matrix(scattering: ScatteringMatrix, amb: PolarimetricAmbiguity, lag:
     return scattering.matrix @ channel
 
 
-def cross_channel_nulls(p, w, grid, tol: float = 1e-10):
+def cross_channel_nulls(p, w, grid):
     """Does f_z vanish on the grid?  Returns (ok, worst relative residual).
 
     The single condition sum_n p_n w_n e^{j n theta} = 0 at every grid
     angle makes the co-polar sidelobes vanish and zeroes both
     cross-polar channels; it is the same condition the null-space
-    design solves.  The residual is max_m |f_z(theta_m)| / ||p*w||_2, read
-    off ``design_matrix(grid, N) @ (p*w)`` (``grid``: a grid or bare angles).
+    design solves, with the same 1e-10 bound.  The residual is
+    max_m |f_z(theta_m)| / ||p*w||_2, read off ``design_matrix(grid, N) @ (p*w)``
+    (``grid``: a grid or bare angles).
     """
     pp, ww = _schedule_weights(p, w)
     z = pp * ww
     residual = float(np.abs(design_matrix(grid, z.size) @ z).max() / np.linalg.norm(z))
-    return residual <= tol, residual
+    return residual <= _NULL_TOL, residual

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,10 +76,21 @@ class TestDesignCommand:
         wa, wb = WaveformDesign.load(a).w, WaveformDesign.load(b).w
         assert not np.allclose(np.abs(wa), np.abs(wb))
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_overconstrained_is_numerical_failure(self, tmp_path):
         assert run("design", "--out-dir", tmp_path, "--n", 4,
                    "--interval", 0, 2, "--m", 4) == 2
+
+    @pytest.mark.parametrize("optimizer", ["first-basis", "bs", "hcd"])
+    def test_m_at_least_n_decided_by_the_rank_cut(self, tmp_path, optimizer):
+        # every method applies the same cut to M >= N, with no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("design", "--out-dir", tmp_path / "wide", "--n", 12, "--interval", 0, 0.05,
+                       "--m", 20, "--optimizer", optimizer, "--restarts", 2) == 0
+            assert WaveformDesign.load(tmp_path / "wide" / "design.json").residual <= 1e-10
+            assert run("design", "--out-dir", tmp_path / "empty", "--n", 4, "--interval", 0, 1,
+                       "--m", 5, "--optimizer", optimizer) == 2
+        assert not (tmp_path / "empty").exists()
 
     def test_reversed_interval_is_usage_error(self, tmp_path):
         assert run("design", "--out-dir", tmp_path, "--n", 8,
@@ -90,7 +102,6 @@ class TestDesignCommand:
         assert "--interval endpoints out of order: [2.0, 0.0]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("command", ["design", "compare"])
     def test_empty_null_space_makes_no_directory(self, tmp_path, command):
         assert run(command, "--out-dir", tmp_path / "newdir", "--n", 4,
@@ -297,6 +308,18 @@ def test_option_rules_checked_before_any_work(tmp_path, capsys, stored_design, c
     valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
     assert run(command, "--out-dir", tmp_path / "out", *valid, *bad) == 1
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "polar"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weight_file_rejected_before_work(tmp_path, capsys, command, bad):
+    data = binomial_design(8).to_dict()
+    data["w"][3][0] = bad  # json writes NaN / Infinity, and reads them back
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(data))
+    assert run(command, "--out-dir", tmp_path / "out", "--design", path, "--eval-interval", 0, 1) == 1
+    assert "weights must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
