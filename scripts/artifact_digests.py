@@ -4,17 +4,19 @@
     python3 scripts/artifact_digests.py                   # the library under ./src
     python3 scripts/artifact_digests.py --src OTHER/src   # another checkout's library
 
-The sequence covers every subcommand: ``repro`` at reduced sizes,
-``design`` with each selection method (hcd also on a 9-wide null space,
-so the optimizer's multi-dimensional path is covered; bs and hcd also with
-an explicit M, one of them M >= N), a delay design
-and one from a config file, ``evaluate`` (bundled and generated pairs, a gridless
-baseline), ``polar`` with sampled output matrices, ``evaluate`` and
-``polar`` on a generated L=4096 pair, ``compare``, ``snr-sweep`` and
-``golay-gen``.  One ``<sha256>  <path>`` line per file, sorted by path,
-goes to standard output.  Run it against two library trees and diff the
-outputs to show that a change keeps every artifact byte-identical.
-Exits 1 when a command fails.
+The sequence covers every subcommand: ``repro`` at reduced sizes and
+at its defaults, ``design`` with each selection method (hcd also on a
+9-wide null space, so the optimizer's multi-dimensional path is covered;
+bs and hcd also with an explicit M, one of them M >= N), a delay design
+and one from a config file, ``evaluate`` (bundled and generated pairs, a
+gridless baseline), ``polar`` with sampled output matrices, ``evaluate``
+and ``polar`` on a generated L=4096 pair, ``polar`` on an N=48 [0, 2]
+design at the default 2001 points, ``compare``, ``snr-sweep`` and
+``golay-gen``.  The two default-size runs are where map CSVs share the
+most rows across channels and files.  One ``<sha256>  <path>`` line per
+file, sorted by path, goes to standard output.  Run it against two
+library trees and diff the outputs to show that a change keeps every
+artifact byte-identical.  Exits 1 when a command fails.
 """
 from __future__ import annotations
 
@@ -38,7 +40,9 @@ def sequence(out: Path) -> list:
     return [
         ["repro", *o, "--n", "16", "--points", "101", "--n-list", "8", "16",
          "--restarts", "2", "--sweeps", "3", "--label", "digest"],
+        ["repro", *o, "--label", "full"],
         ["design", *o, "--n", "16", "--interval", "0", "2", "--out", "fb.json"],
+        ["design", *o, "--n", "48", "--interval", "0", "2", "--out", "fb48.json"],
         ["design", *o, "--n", "16", "--interval", "0", "2", "--optimizer", "bs", "--out", "bs.json"],
         ["design", *o, "--n", "12", "--interval", "0", "2", "--optimizer", "hcd",
          "--restarts", "2", "--sweeps", "3", "--out", "hcd.json"],
@@ -59,6 +63,7 @@ def sequence(out: Path) -> list:
         ["polar", *o, "--design", str(out / "fb.json"), "--points", "41",
          "--scattering", "0.9+0.1j", "(-0.2+0.3j)", "0.05j", "1", "--sample", "0", "0.0", "--sample", "-5", "1.0"],
         ["polar", *o, "--design", str(out / "delay.json"), "--points", "21", "--sample", "63", "1.0"],
+        ["polar", *o, "--design", str(out / "fb48.json"), "--sample", "-3", "0.5"],
         ["evaluate", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
         ["polar", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
         ["snr-sweep", *o, "--n-list", "8", "12", "16", "--restarts", "2", "--sweeps", "3"],

@@ -54,23 +54,45 @@ _CELL = "%.17g"  # float CSV cell: 17 significant digits, an exact float64 round
 _COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by complex()
 
 
-def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None) -> None:
-    """Write ``header``, then one line per entry of ``index`` (default: each row in order).
+def _row_texts(rows: np.ndarray, cell_fmt: str, texts: dict = None) -> list:
+    """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it.
 
-    A line is the row of the 2-D float array ``rows`` that its entry
-    names, printed with ``cell_fmt`` repeated across the row (it may take
-    several floats per cell); each row is formatted once however many
-    lines use it.  ``lags``, when given, are written as a first column.
+    With a memo ``texts``, a row's text is looked up in, or added to, it
+    under ``(cell_fmt, row bytes)``: bytes, not float equality, since 0.0
+    and -0.0 print differently.
     """
     template = ",".join([cell_fmt] * (rows.shape[1] // cell_fmt.count("%")))
-    texts = [template % tuple(row.tolist()) for row in rows]
-    order = range(len(texts)) if index is None else index.tolist()
+    if texts is None:
+        return [template % tuple(row.tolist()) for row in rows]
+    out = []
+    for row in rows:
+        key = (cell_fmt, row.tobytes())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = template % tuple(row.tolist())
+        out.append(text)
+    return out
+
+
+def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None,
+                      texts: dict = None) -> None:
+    """Write ``header``, then one line per entry of ``index`` (default: each row in order).
+
+    A line is the row of the 2-D float64 array ``rows`` that its entry
+    names, printed with ``cell_fmt`` repeated across the row (it may take
+    several floats per cell); each row is formatted once however many
+    lines use it, and once across several writes that share one memo
+    ``texts`` (see :func:`_row_texts`).  ``lags``, when given, are
+    written as a first column.
+    """
+    lines = _row_texts(rows, cell_fmt, texts)
+    order = range(len(lines)) if index is None else index.tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
         if lags is None:
-            fh.writelines(f"{texts[r]}\n" for r in order)
+            fh.writelines(f"{lines[r]}\n" for r in order)
         else:
-            fh.writelines(f"{lag},{texts[r]}\n" for lag, r in zip(lags, order))
+            fh.writelines(f"{lag},{lines[r]}\n" for lag, r in zip(lags, order))
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -206,8 +228,11 @@ class AmbiguityMap:
         """max_{k != 0} |A(k, theta)| per angle.
 
         The zero lag is left out by position: its row may also serve
-        nonzero lags, and then it counts for them.
+        nonzero lags, and then it counts for them.  A length-1 pair's map
+        has no nonzero lag: ``ValueError``.
         """
+        if self.sequence_length == 1:
+            raise ValueError("a length-1 pair has no sidelobes: its map has no nonzero lag")
         mag, lag_class = self._magnitudes()
         return mag[np.unique(np.delete(lag_class, self.sequence_length - 1))].max(axis=0)
 
@@ -248,22 +273,29 @@ class AmbiguityMap:
             "normalization_peak": self.peak,
         }
 
-    def to_csv(self, path) -> None:
-        """Complex values; header row of angles, first column of lags."""
-        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), self._index, _COMPLEX_CELL)
+    def to_csv(self, path, *, texts: dict = None) -> None:
+        """Complex values; header row of angles, first column of lags.
 
-    def db_to_csv(self, path, reference: float = None) -> None:
+        ``texts``, a dict the caller passes to several :meth:`to_csv` and
+        :meth:`db_to_csv` writes on any maps, memoizes row text: a row, the
+        angle header included, is formatted once across all of them, keyed
+        on its bytes.  Without it, each write formats its own rows.
+        """
+        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), self._index, _COMPLEX_CELL, texts)
+
+    def db_to_csv(self, path, reference: float = None, *, texts: dict = None) -> None:
         """dB magnitudes in the same layout as :meth:`to_csv`.
 
         Normalized to the map's own peak by default; pass ``reference``
         to express the map relative to an external peak (values may then
         exceed 0 dB).  The reference must be finite and positive.
+        ``texts`` is the row-text memo described in :meth:`to_csv`.
         """
-        self._write_csv(path, *self._db_rows(reference), _CELL)
+        self._write_csv(path, *self._db_rows(reference), _CELL, texts)
 
-    def _write_csv(self, path, rows, index, cell_fmt) -> None:
-        header = "lag," + ",".join([_CELL] * self.angles.size) % tuple(self.angles.tolist())
-        _write_matrix_csv(path, header, rows, cell_fmt, index=index, lags=self.lags.tolist())
+    def _write_csv(self, path, rows, index, cell_fmt, texts) -> None:
+        header = "lag," + _row_texts(self.angles[None], _CELL, texts)[0]
+        _write_matrix_csv(path, header, rows, cell_fmt, index=index, lags=self.lags.tolist(), texts=texts)
 
     def save_metadata(self, path) -> None:
         Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
@@ -369,7 +401,7 @@ class SidelobeMetrics:
 
 
 def sidelobe_metrics(amap: AmbiguityMap, reference_peak: float = None) -> SidelobeMetrics:
-    """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map."""
+    """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map and a length-1 pair's map."""
     mag, lag_class = amap._magnitudes()
     if not mag.any():
         raise ValueError("all-zero map has no sidelobe metrics")

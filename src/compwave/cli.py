@@ -291,13 +291,14 @@ def _load_design(args):
 
 def cmd_evaluate(args) -> None:
     design, kind, pair, angles = _load_design(args)
-    out = _out_dir(args)
-    prefix = args.prefix or Path(args.design).stem
     amap = discrete_ambiguity(pair, design.p, design.w, angles, kind=kind)
     metrics = sidelobe_metrics(amap)
+    out = _out_dir(args)
+    prefix = args.prefix or Path(args.design).stem
+    texts = {}  # row-text memo of this command's map CSVs
     for suffix, write in (
-        ("map.csv", amap.to_csv),
-        ("map_db.csv", amap.db_to_csv),
+        ("map.csv", lambda path: amap.to_csv(path, texts=texts)),
+        ("map_db.csv", lambda path: amap.db_to_csv(path, texts=texts)),
         ("map_meta.json", amap.save_metadata),
         ("profile.csv", metrics.profile_to_csv),
         ("prsl.csv", metrics.prsl_to_csv),
@@ -316,16 +317,14 @@ def cmd_compare(args) -> None:
     ns = null_space_design(args.n, tuple(args.interval), constraints=args.m)
     designs = {"ns": ns, "bd": binomial_design(args.n), "ptm": ptm_schedule(args.n)}
     angles = _eval_angles(args, ns)
+    metrics = {name: sidelobe_metrics(discrete_ambiguity(pair, design.p, design.w, angles))
+               for name, design in designs.items()}
     out = _out_dir(args)
-    prsl_cols, profile_cols = {}, {}
     for name, design in designs.items():
         design.save(out / f"{args.prefix}_{name}.json")
-        metrics = sidelobe_metrics(discrete_ambiguity(pair, design.p, design.w, angles))
-        prsl_cols[name] = metrics.prsl_db
-        profile_cols[name] = metrics.profile
-    for stem, cols in (("prsl", prsl_cols), ("profile", profile_cols)):
+    for stem, field in (("prsl", "prsl_db"), ("profile", "profile")):
         path = out / f"{args.prefix}_{stem}.csv"
-        write_columns_csv(path, ["angle", *cols], [angles, *cols.values()])
+        write_columns_csv(path, ["angle", *metrics], [angles, *(getattr(m, field) for m in metrics.values())])
         print(f"wrote {path}")
 
 
@@ -377,9 +376,10 @@ def cmd_polar(args) -> None:
         points.append((lag, angle))
     out = _out_dir(args)
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
+    texts = {}  # row-text memo shared by the channels, which share most rows bit for bit
     for name, channel in amb.channels.items():
-        channel.to_csv(out / f"{prefix}_{name}.csv")
-        channel.db_to_csv(out / f"{prefix}_{name}_db.csv")
+        channel.to_csv(out / f"{prefix}_{name}.csv", texts=texts)
+        channel.db_to_csv(out / f"{prefix}_{name}_db.csv", texts=texts)
         channel.save_metadata(out / f"{prefix}_{name}_meta.json")
         print(f"wrote {out / f'{prefix}_{name}.csv'} (+db, +meta)")
     samples = []
@@ -413,9 +413,9 @@ def cmd_repro(args) -> None:
     pair = length64_pair()
     manifest = {"n": n, "points": args.points, "seed": args.seed, "outputs": []}
 
-    def emit(name, write, *extra):
-        """Write one artifact with ``write(path, *extra)``, record it, and pass on what ``write`` returns."""
-        result = write(out / name, *extra)
+    def emit(name, write, *extra, **options):
+        """Write one artifact with ``write(path, *extra, **options)``, record it, and return what ``write`` returns."""
+        result = write(out / name, *extra, **options)
         manifest["outputs"].append(name)
         print(f"wrote {out / name}")
         return result
@@ -430,6 +430,7 @@ def cmd_repro(args) -> None:
     # one polarimetric evaluation per null-space or binomial design: its VV channel is
     # bit for bit the single-antenna map, and its VH channel is written after the sweep
     cross = {}  # tag -> (VH map, co-polar mainlobe peak)
+    texts = {}  # row-text memo of every map CSV: a VH dB row is often a VV one of the same design
 
     def co_polar(tag, design, angles):
         amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
@@ -438,7 +439,7 @@ def cmd_repro(args) -> None:
 
     angles_interval = evaluation_grid(0.0, 2.0, args.points)
     amap = co_polar("interval", interval_design, angles_interval)
-    emit("interval_map_db.csv", amap.db_to_csv)
+    emit("interval_map_db.csv", amap.db_to_csv, texts=texts)
     emit("interval_map_meta.json", amap.save_metadata)
     emit("interval_prsl.csv", sidelobe_metrics(amap).prsl_to_csv)
 
@@ -452,7 +453,7 @@ def cmd_repro(args) -> None:
             dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
         else:
             dmap = co_polar("overall" if name == "ns" else name, design, angles_overall)
-            emit(f"overall_{name}_map_db.csv", dmap.db_to_csv)
+            emit(f"overall_{name}_map_db.csv", dmap.db_to_csv, texts=texts)
         columns[name] = sidelobe_metrics(dmap).prsl_db
     emit("overall_prsl_comparison.csv", write_columns_csv, ["angle", *columns], [angles_overall, *columns.values()])
 
@@ -461,7 +462,7 @@ def cmd_repro(args) -> None:
 
     # cross-polar channels, referenced to each run's co-polar mainlobe peak
     for tag, (vh, reference) in cross.items():
-        emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference)
+        emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference, texts=texts)
 
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out / 'manifest.json'}")

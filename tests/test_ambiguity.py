@@ -254,6 +254,12 @@ class TestSidelobeMetrics:
         metrics = sidelobe_metrics(amap)
         assert np.array_equal(metrics.profile, np.abs(amap.mainlobe))
 
+    def test_length_one_pair_has_no_sidelobes(self):
+        amap = discrete_ambiguity(([1], [1]), [1, -1], [1.0, 1.0], [0.0, 1.0])
+        for summary in (amap.sidelobe_peaks, lambda: sidelobe_metrics(amap)):
+            with pytest.raises(ValueError, match="length-1 pair has no sidelobes"):
+                summary()
+
 
 class TestExports:
     def test_map_csv_round_trip(self, tmp_path, pair64):
@@ -403,6 +409,61 @@ class TestCsvOracle:
             amap.db_to_csv(out / "db.csv")
             expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / mag.max()), ref_float)
         assert (out / "db.csv").read_text() == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(maps=st.lists(repeated_row_maps(), min_size=1, max_size=3),
+           reference=st.floats(min_value=5e-324, max_value=1e308))
+    def test_shared_memo_matches_per_cell_reference(self, tmp_path_factory, maps, reference):
+        # each map also comes with a twin that differs only in the sign of its zeros
+        twins = [AmbiguityMap(values=_negate_zeros(m.values.view(float)).view(complex),
+                              angles=_negate_zeros(m.angles)) for m in maps]
+        out = tmp_path_factory.mktemp("memo")
+        everything = maps + [EDGE_MAP] + twins
+        for order in (everything, everything[::-1]):
+            texts = {}
+            for amap in order:
+                amap.to_csv(out / "map.csv", texts=texts)
+                assert (out / "map.csv").read_text() == ref_map_csv(amap.angles, amap.values, ref_complex)
+                mag = np.abs(amap.values)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    amap.db_to_csv(out / "ref.csv", reference=reference, texts=texts)
+                    expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / reference), ref_float)
+                    assert (out / "ref.csv").read_text() == expected
+                    if np.isfinite(mag.max()) and mag.max() > 0:
+                        amap.db_to_csv(out / "db.csv", texts=texts)
+                        expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / mag.max()), ref_float)
+                        assert (out / "db.csv").read_text() == expected
+
+    def test_shared_memo_keys_on_the_cell_format(self, tmp_path):
+        # a dB map over 2A angles whose rows have the bytes of a complex map's rows over A angles
+        real = AmbiguityMap(values=np.random.default_rng(11).standard_normal((3, 4)), angles=np.arange(4.0))
+        complex_map = AmbiguityMap(values=np.ascontiguousarray(real.db).view(complex), angles=[0.5, 1.5])
+        assert [row.tobytes() for row in real.db] == [row.tobytes() for row in complex_map.values]
+        for order in ((real.db_to_csv, complex_map.to_csv), (complex_map.to_csv, real.db_to_csv)):
+            texts = {}
+            for write in order:
+                write(tmp_path / f"{write.__name__}.csv", texts=texts)
+            assert (tmp_path / "db_to_csv.csv").read_text() == ref_map_csv(real.angles, real.db, ref_float)
+            assert (tmp_path / "to_csv.csv").read_text() == ref_map_csv(
+                complex_map.angles, complex_map.values, ref_complex)
+            assert len(texts) == 3 + 3 + 2  # rows under each format, and two headers
+
+    def test_shared_memo_formats_each_distinct_row_once(self, tmp_path, pair64, design_02):
+        angles = evaluation_grid(0.0, 2.0, 41)
+        amb = polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles)
+        texts = {}
+        distinct = {("float", angles.tobytes())}
+        separately = 0  # rows formatted when each file has its own memo
+        for name, amap in amb.channels.items():
+            amap.to_csv(tmp_path / f"{name}.csv", texts=texts)
+            amap.db_to_csv(tmp_path / f"{name}_db.csv", texts=texts)
+            complex_rows = {("complex", row.tobytes()) for row in amap.values}
+            db_rows = {("float", row.tobytes()) for row in amap.db}
+            distinct |= complex_rows | db_rows
+            separately += len(complex_rows) + len(db_rows)
+            assert (tmp_path / f"{name}.csv").read_text() == ref_map_csv(angles, amap.values, ref_complex)
+        assert len(texts) == len(distinct)
+        assert len(texts) - 1 < separately  # the channels share rows
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda k: st.lists(

@@ -176,6 +176,17 @@ class TestEvaluateCommand:
         assert not list(tmp_path.glob("*_map.csv"))
 
 
+@pytest.mark.parametrize("command, argv", [("evaluate", ["--points", 5]),
+                                           ("compare", ["--n", 16, "--interval", 0, 2])])
+def test_length_one_pair_rejected_before_any_file(tmp_path, capsys, command, argv):
+    design = make_design(tmp_path)
+    if command == "evaluate":
+        argv = ["--design", design, *argv]
+    assert run(command, "--out-dir", tmp_path / "out", "--pair", 1, *argv) == 1
+    assert "a length-1 pair has no sidelobes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_required_options(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -381,6 +392,13 @@ class TestPolarCommand:
         expected = output_matrix(ScatteringMatrix.identity(), amb, 3, 1.0)
         got = np.array([[complex(re, im) for re, im in row] for row in samples[1]["U"]])
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_length_one_pair(self, tmp_path):
+        path = make_design(tmp_path)
+        assert run("polar", "--out-dir", tmp_path, "--design", path, "--points", 5, "--pair", 1) == 0
+        for name in ("vv", "hh", "vh", "hv"):
+            lines = (tmp_path / f"design_polar_{name}.csv").read_text().splitlines()
+            assert len(lines) == 2 and lines[1].startswith("0,")  # the zero lag alone
 
     def test_negative_scattering_literals(self, tmp_path, pair64):
         path = make_design(tmp_path)
