@@ -16,11 +16,9 @@ obeys the same algebra with delay angles in place of Doppler angles.
 A map therefore depends on the lag only through the integer pair
 ((C_x + C_y)[k], (C_x - C_y)[k]), and :class:`AmbiguityMap` stores one
 row per distinct pair plus each lag's index into those rows: at L = 4096
-134 rows serve 8191 lags.  Rows of opposite pairs have equal magnitudes,
-so magnitude-based quantities go one step further and use one row per
-pair up to sign.  Peaks, sidelobe metrics and the CSV writers read the
-rows.  The dense lag x angle array, (2L-1) x angles complex cells, is
-built only when ``values``, ``magnitude`` or ``db`` is read,
+134 rows serve 8191 lags.  Peaks, sidelobe metrics and the CSV writers
+read the rows.  The dense lag x angle array, (2L-1) x angles complex
+cells, is built only when ``values``, ``magnitude`` or ``db`` is read,
 bit-identical to a dense evaluation.
 
 Angles are dimensionless phase increments per pulse (radians).
@@ -57,13 +55,12 @@ _COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by
 def _row_texts(rows: np.ndarray, cell_fmt: str, texts: dict = None) -> list:
     """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it.
 
-    With a memo ``texts``, a row's text is looked up in, or added to, it
-    under ``(cell_fmt, row bytes)``: bytes, not float equality, since 0.0
-    and -0.0 print differently.
+    A row's text is looked up in, or added to, the memo ``texts`` (a
+    fresh one by default) under ``(cell_fmt, row bytes)``: bytes, not
+    float equality, since 0.0 and -0.0 print differently.
     """
+    texts = {} if texts is None else texts
     template = ",".join([cell_fmt] * (rows.shape[1] // cell_fmt.count("%")))
-    if texts is None:
-        return [template % tuple(row.tolist()) for row in rows]
     out = []
     for row in rows:
         key = (cell_fmt, row.tobytes())
@@ -127,67 +124,41 @@ def _schedule_weights(p, w):
 
 
 def _lag_rows(*columns):
-    """Factor the int64 per-lag coefficient ``columns``: (distinct coefficient rows, layout).
-
-    The layout is (index, classes): lag k uses distinct row ``index[k]``,
-    and rows whose coefficients are negatives of each other share a
-    magnitude class.  Negating every coefficient negates each product and
-    sum of the two-term evaluation exactly, up to the sign of a zero, so
-    such rows have bit-identical magnitudes.
-    """
+    """(the distinct rows of the int64 per-lag coefficient ``columns``, index): lag k uses row ``index[k]``."""
     coef = np.column_stack(columns)
     span = 2 * int(np.abs(coef).max()) + 1
     keys = np.zeros(len(coef), dtype=np.int64)
-    for col in coef.T:  # balanced base-span digits: one key per row, and key(-c) = -key(c)
+    for col in coef.T:  # balanced base-span digits: one key per distinct row
         keys = keys * span + col
-    keys, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    classes = np.unique(np.abs(keys), return_inverse=True)[1]
-    return coef[first], (index.ravel(), classes.ravel())
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return coef[first], index.ravel()
 
 
 class AmbiguityMap:
     """Sampled map A(k, theta): rows are lags -(L-1)..L-1, columns angles.
 
-    Stored factored: the distinct lag rows and, for every lag, the index
-    of its row (see the module docstring).  ``peak``, ``mainlobe``, the
-    sidelobe quantities, :meth:`metadata` and the CSV writers work on the
-    rows.  ``values`` gathers the dense lag x angle array on first read
-    and keeps it; ``magnitude`` and ``db`` gather a new one on each read.
-    ``AmbiguityMap(values=..., angles=...)`` wraps a dense array, every
-    lag its own row.
+    Stored factored: the distinct lag rows ``values`` and, for every lag
+    k, the ``index[k]`` of its row (see the module docstring); every row
+    must be used by some lag.  ``index=None`` makes each row its own lag,
+    so ``AmbiguityMap(values=..., angles=...)`` wraps a dense array.
+    ``peak``, ``mainlobe``, the sidelobe quantities, :meth:`metadata` and
+    the CSV writers work on the rows.  ``values`` gathers the dense lag x
+    angle array on first read and keeps it; ``magnitude`` and ``db``
+    gather a new one on each read.
     """
 
-    def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None):
-        vals = np.atleast_2d(np.asarray(values, dtype=complex))
-        every = np.arange(vals.shape[0])
-        self._setup(vals, (every, every), angles, kind, n_pulses)
-        self._values = vals
-
-    @classmethod
-    def _from_rows(cls, rows, layout, angles, kind, n_pulses) -> "AmbiguityMap":
-        """The map whose lag k holds ``rows[index[k]]``, for a layout (index, classes) from
-        :func:`_lag_rows`; every row must be used by some lag."""
-        amap = cls.__new__(cls)
-        amap._setup(rows, layout, angles, kind, n_pulses)
-        return amap
-
-    def _setup(self, rows, layout, angles, kind, n_pulses) -> None:
-        index, classes = layout
+    def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
+        rows = np.atleast_2d(np.asarray(values, dtype=complex))
         ang = np.atleast_1d(np.asarray(angles, dtype=float))
-        if index.size % 2 == 0:
+        self._index = np.arange(rows.shape[0]) if index is None else np.asarray(index)
+        if self._index.size % 2 == 0:
             raise ValueError("lag axis must have odd length 2L-1")
         if rows.shape[1] != ang.size:
             raise ValueError("angle axis does not match the number of columns")
         rows.setflags(write=False)
         ang.setflags(write=False)
-        self._rows, self._index, self._classes, self._values = rows, index, classes, None
+        self._rows, self._values = rows, rows if index is None else None
         self.angles, self.kind, self.n_pulses = ang, kind, n_pulses
-
-    def _magnitudes(self):
-        """(|row| of one row per magnitude class, each lag's class)."""
-        member = np.empty(self._classes.max() + 1, dtype=np.intp)
-        member[self._classes] = np.arange(self._classes.size)
-        return np.abs(self._rows[member]), self._classes[self._index]
 
     @property
     def values(self) -> np.ndarray:
@@ -208,12 +179,11 @@ class AmbiguityMap:
 
     @property
     def magnitude(self) -> np.ndarray:
-        mag, lag_class = self._magnitudes()
-        return mag[lag_class]
+        return np.abs(self._rows)[self._index]
 
     @property
     def peak(self) -> float:
-        return float(self._magnitudes()[0].max())
+        return float(np.abs(self._rows).max())
 
     def _row(self, i: int) -> np.ndarray:
         """The row at lag position ``i`` (lag ``i - (L-1)``)."""
@@ -233,18 +203,19 @@ class AmbiguityMap:
         """
         if self.sequence_length == 1:
             raise ValueError("a length-1 pair has no sidelobes: its map has no nonzero lag")
-        mag, lag_class = self._magnitudes()
-        return mag[np.unique(np.delete(lag_class, self.sequence_length - 1))].max(axis=0)
+        return np.abs(self._rows[np.unique(np.delete(self._index, self.sequence_length - 1))]).max(axis=0)
 
-    def _db_rows(self, reference: float = None):
-        """(20 log10(|row| / reference) per magnitude class, each lag's class); the map's own peak by default."""
-        mag, lag_class = self._magnitudes()
-        ref = mag.max() if reference is None else float(reference)
+    def _db_rows(self, reference: float = None) -> np.ndarray:
+        """20 log10(|row| / reference) per distinct row; the map's own peak by default."""
+        ref = self.peak if reference is None else float(reference)
         if not (np.isfinite(ref) and ref > 0):
             source = "map peak" if reference is None else "reference peak"
             raise ValueError(f"{source} must be finite and positive for a dB normalization, got {ref}")
+        # rows with negated coefficients differ only in sign: negation is exact up to
+        # the sign of a zero and abs drops that sign, so their dB rows are
+        # bit-identical and share one row-text memo key
         with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(mag / ref), lag_class
+            return 20.0 * np.log10(np.abs(self._rows) / ref)
 
     @property
     def db(self) -> np.ndarray:
@@ -252,8 +223,7 @@ class AmbiguityMap:
 
         A zero, nan or infinite peak has no normalization: ``ValueError``.
         """
-        db, lag_class = self._db_rows()
-        return db[lag_class]
+        return self._db_rows()[self._index]
 
     def lag_index(self, lag: int) -> int:
         L = self.sequence_length
@@ -279,9 +249,9 @@ class AmbiguityMap:
         ``texts``, a dict the caller passes to several :meth:`to_csv` and
         :meth:`db_to_csv` writes on any maps, memoizes row text: a row, the
         angle header included, is formatted once across all of them, keyed
-        on its bytes.  Without it, each write formats its own rows.
+        on its bytes.  Without it, each write memoizes its own rows.
         """
-        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), self._index, _COMPLEX_CELL, texts)
+        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), _COMPLEX_CELL, texts)
 
     def db_to_csv(self, path, reference: float = None, *, texts: dict = None) -> None:
         """dB magnitudes in the same layout as :meth:`to_csv`.
@@ -291,11 +261,11 @@ class AmbiguityMap:
         exceed 0 dB).  The reference must be finite and positive.
         ``texts`` is the row-text memo described in :meth:`to_csv`.
         """
-        self._write_csv(path, *self._db_rows(reference), _CELL, texts)
+        self._write_csv(path, self._db_rows(reference), _CELL, texts)
 
-    def _write_csv(self, path, rows, index, cell_fmt, texts) -> None:
+    def _write_csv(self, path, rows, cell_fmt, texts) -> None:
         header = "lag," + _row_texts(self.angles[None], _CELL, texts)[0]
-        _write_matrix_csv(path, header, rows, cell_fmt, index=index, lags=self.lags.tolist(), texts=texts)
+        _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=texts)
 
     def save_metadata(self, path) -> None:
         Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
@@ -304,13 +274,13 @@ class AmbiguityMap:
 def _two_terms(pair, p, w, angles):
     """The validated inputs and the two terms of A(k, theta) = even + odd, one row per coefficient pair.
 
-    Returns (x, y, angles, N, f_w, f_z, sums, even, odd, layout).  The
+    Returns (x, y, angles, N, f_w, f_z, sums, even, odd, index).  The
     distinct int64 pairs (s, d) = ((C_x + C_y)[k], (C_x - C_y)[k]) over
     the lags k give the rows even = 1/2 s f_w(theta) and
-    odd = 1/2 d f_z(theta); ``sums`` holds s per row, and ``layout`` maps
-    lags to rows as :func:`_lag_rows` describes.  A row takes the same
-    IEEE operations as the dense outer product at each of its lags, so
-    gathering reproduces that array bit for bit.  f_w and f_z are two
+    odd = 1/2 d f_z(theta); ``sums`` holds s per row, and lag k uses row
+    ``index[k]``.  A row takes the same IEEE operations as the dense outer
+    product at each of its lags, so gathering reproduces that array bit
+    for bit.  f_w and f_z are two
     mat-vecs on one phase matrix; a single matmul over both may round
     differently.
     """
@@ -322,15 +292,15 @@ def _two_terms(pair, p, w, angles):
     fz = phases @ (pp * ww)
     cx = _correlate(x, x)
     cy = _correlate(y, y)
-    coef, layout = _lag_rows(cx + cy, cx - cy)
+    coef, index = _lag_rows(cx + cy, cx - cy)
     even = 0.5 * np.outer(coef[:, 0], fw)
     odd = 0.5 * np.outer(coef[:, 1], fz)
-    return x, y, ang, int(pp.size), fw, fz, coef[:, 0], even, odd, layout
+    return x, y, ang, int(pp.size), fw, fz, coef[:, 0], even, odd, index
 
 
 def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
-    x, _, ang, n, fw, _, sums, even, odd, layout = _two_terms(pair, p, w, angles)
-    index, zero = layout[0], x.size - 1
+    x, _, ang, n, fw, _, sums, even, odd, index = _two_terms(pair, p, w, angles)
+    zero = x.size - 1
     if closed_form:
         # exact complementarity: C_x + C_y vanishes at every nonzero lag, so
         # the zero lag (sum 2L) is the only lag on its row
@@ -341,7 +311,7 @@ def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
     else:
         rows = even
         rows += odd
-    return AmbiguityMap._from_rows(rows, layout, ang, kind, n)
+    return AmbiguityMap(rows, ang, kind, n, index)
 
 
 def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:
@@ -402,10 +372,9 @@ class SidelobeMetrics:
 
 def sidelobe_metrics(amap: AmbiguityMap, reference_peak: float = None) -> SidelobeMetrics:
     """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map and a length-1 pair's map."""
-    mag, lag_class = amap._magnitudes()
-    if not mag.any():
+    if not amap._rows.any():
         raise ValueError("all-zero map has no sidelobe metrics")
-    profile = mag[lag_class[amap.sequence_length - 1]]
+    profile = np.abs(amap.mainlobe)
     side = amap.sidelobe_peaks()
     ref = float(profile.max()) if reference_peak is None else float(reference_peak)
     with np.errstate(divide="ignore", invalid="ignore"):

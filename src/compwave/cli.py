@@ -84,11 +84,13 @@ def _number(cast, low, strict=False):
 
 
 class _Ordered(argparse.Action):
-    """Store an (LO, HI) pair, rejecting LO > HI and nan."""
+    """Store an (LO, HI) pair, rejecting LO > HI, nan and infinities."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if not values[0] <= values[1]:
             raise argparse.ArgumentError(None, f"{option_string} endpoints out of order: {values}")
+        if not np.isfinite(values).all():
+            raise argparse.ArgumentError(None, f"{option_string} endpoints must be finite: {values}")
         setattr(namespace, self.dest, values)
 
 
@@ -176,11 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_argv(parser, argv: list, args: argparse.Namespace) -> list:
-    """``argv`` with the --config file's values inserted after the subcommand as ``--key value`` flags.
+    """``argv`` with the --config file's values inserted after the subcommand as flags.
 
     ``parser`` checks each key's flags on their own first, so an error names the file and the key;
-    an explicit flag, coming later, wins.  A list fills a multi-value option, ``sample`` takes a
-    list of [lag, angle] pairs, and null keeps the default.
+    an explicit flag, coming later, wins.  A scalar becomes one ``--key=value`` token, so a value
+    that starts with "-" is not read as an option; a list fills a multi-value option as separate
+    tokens, ``sample`` takes a list of [lag, angle] pairs, and null keeps the default.
     """
     try:
         cfg = json.loads(Path(args.config).read_text())
@@ -196,8 +199,9 @@ def _config_argv(parser, argv: list, args: argparse.Namespace) -> list:
         if value is None:
             continue
         flags = []
+        flag = "--" + dest.replace("_", "-")
         for item in value if dest == "sample" and isinstance(value, list) else [value]:
-            flags += ["--" + dest.replace("_", "-"), *map(str, item if isinstance(item, list) else [item])]
+            flags += [flag, *map(str, item)] if isinstance(item, list) else [f"{flag}={item}"]
         try:  # each key on its own first, so that an error can name it
             parser.parse_args([args.command, *flags])
         except CliError as exc:

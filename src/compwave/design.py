@@ -94,15 +94,16 @@ def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
     """``count`` evenly spaced angles over [lo, hi] inclusive, for maps and design grids alike.
 
     ``count`` = 1 gives the single angle lo.  ValueError when ``count`` is
-    below 1 or the endpoints are out of order (lo > hi, or a nan).
+    below 1, an endpoint is infinite, or the endpoints are out of order
+    (lo > hi, or a nan).
     """
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"interval endpoints must be finite: [{lo}, {hi}]")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, int(count))
 
 
@@ -322,21 +323,20 @@ class DesignReport:
     ``nullspace_residual`` is ||E (p*w)||_2 / ||w||_2 (must be ~0 for the
     sidelobes to vanish on the grid); ``mainlobe_residual`` is
     ||E w||_2 / ||w||_2 (must stay clearly nonzero or the mainlobe
-    vanishes with the sidelobes).
+    vanishes with the sidelobes).  The bounds are fixed: null residual at
+    most 1e-10, mainlobe residual above 1e-3.
     """
 
     nullspace_residual: float
     mainlobe_residual: float
-    null_tol: float = _NULL_TOL
-    mainlobe_tol: float = _MAINLOBE_TOL
 
     @property
     def nullspace_ok(self) -> bool:
-        return self.nullspace_residual <= self.null_tol
+        return self.nullspace_residual <= _NULL_TOL
 
     @property
     def mainlobe_ok(self) -> bool:
-        return self.mainlobe_residual > self.mainlobe_tol
+        return self.mainlobe_residual > _MAINLOBE_TOL
 
     @property
     def ok(self) -> bool:
@@ -346,8 +346,8 @@ class DesignReport:
         return {
             "nullspace_residual": float(self.nullspace_residual),
             "mainlobe_residual": float(self.mainlobe_residual),
-            "null_tol": float(self.null_tol),
-            "mainlobe_tol": float(self.mainlobe_tol),
+            "null_tol": _NULL_TOL,
+            "mainlobe_tol": _MAINLOBE_TOL,
             "nullspace_ok": self.nullspace_ok,
             "mainlobe_ok": self.mainlobe_ok,
             "ok": self.ok,

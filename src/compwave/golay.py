@@ -93,10 +93,6 @@ class CorrelationProfile:
             raise IndexError(f"lag {lag} outside [-{L - 1}, {L - 1}]")
         return self.values[lag + L - 1]
 
-    def to_table(self) -> list:
-        """Explicit (lag, value) rows; avoids off-by-one ambiguity on disk."""
-        return [[int(k), v.item()] for k, v in zip(self.lags, self.values)]
-
 
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full aperiodic correlation of two validated biphase arrays, as exact int64.

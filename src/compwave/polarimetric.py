@@ -96,17 +96,17 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
     built from their reduced single-term forms; the reversal identities
     behind that reduction are covered by the tests, not checked per call.
     """
-    x, y, ang, n, _, fz, _, even, odd, layout = _two_terms(pair, p, w, angles)
+    x, y, ang, n, _, fz, _, even, odd, index = _two_terms(pair, p, w, angles)
     vv = even + odd
     even -= odd  # HH = even - odd, in place
 
     def cross(a, b):
-        coef, cross_layout = _lag_rows(_correlate(a, b))
-        return AmbiguityMap._from_rows(np.outer(coef[:, 0], fz), cross_layout, ang, kind, n)
+        coef, cross_index = _lag_rows(_correlate(a, b))
+        return AmbiguityMap(np.outer(coef[:, 0], fz), ang, kind, n, cross_index)
 
     return PolarimetricAmbiguity(
-        vv=AmbiguityMap._from_rows(vv, layout, ang, kind, n),
-        hh=AmbiguityMap._from_rows(even, layout, ang, kind, n),
+        vv=AmbiguityMap(vv, ang, kind, n, index),
+        hh=AmbiguityMap(even, ang, kind, n, index),
         vh=cross(x, y),
         hv=cross(y, x),
     )

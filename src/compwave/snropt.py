@@ -13,11 +13,11 @@ lambda directly, minimizing the reciprocal
 
 Two searchers are provided: picking the basis column with the largest
 1-norm (``basis_selection``), and a restarted fixed-point L1 ascent
-over complex lambda (``coordinate_descent``, alias ``hcd``; the names
-are kept from an earlier coordinate-descent searcher).  With Q an
-orthonormal basis of range(Z) and v = Q mu on the unit sphere, g is
-1/||v||_1^2, and the complex analogue of Kwak's L1-PCA iteration
-(IEEE TPAMI 30(9), 2008)
+over complex lambda (``coordinate_descent``; the name, and the CLI
+label ``hcd``, are kept from an earlier coordinate-descent searcher).
+With Q an orthonormal basis of range(Z) and v = Q mu on the unit
+sphere, g is 1/||v||_1^2, and the complex analogue of Kwak's L1-PCA
+iteration (IEEE TPAMI 30(9), 2008)
 
     u = phase(Q mu),      mu <- Q^H u / ||Q^H u||
 
@@ -44,7 +44,6 @@ __all__ = [
     "basis_selection",
     "OptimizerReport",
     "coordinate_descent",
-    "hcd",
     "design_from_lambda",
     "snr_upper_bound",
 ]
@@ -239,9 +238,6 @@ def coordinate_descent(
         eps=eps,
         seed=seed,
     )
-
-
-hcd = coordinate_descent
 
 
 def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesign:

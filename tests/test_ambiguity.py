@@ -77,6 +77,11 @@ class TestEvaluationGrid:
         with pytest.raises(ValueError, match="out of order"):
             evaluation_grid(lo, hi, count)
 
+    @pytest.mark.parametrize("lo, hi", [(0, float("inf")), (-float("inf"), 0), (-float("inf"), float("inf"))])
+    def test_rejects_infinite_endpoints(self, lo, hi):
+        with pytest.raises(ValueError, match="must be finite"):
+            evaluation_grid(lo, hi, 3)
+
 
 class TestDiscreteAmbiguity:
     def test_matches_per_pulse_oracle(self):
@@ -464,6 +469,16 @@ class TestCsvOracle:
             assert (tmp_path / f"{name}.csv").read_text() == ref_map_csv(angles, amap.values, ref_complex)
         assert len(texts) == len(distinct)
         assert len(texts) - 1 < separately  # the channels share rows
+
+    def test_sign_opposite_rows_share_one_db_text(self, tmp_path, pair64, design_02):
+        angles = evaluation_grid(0.0, 2.0, 2001)
+        amap = discrete_ambiguity(pair64, design_02.p, design_02.w, angles)
+        rows = {row.tobytes() for row in amap.values}
+        magnitudes = {np.abs(row).tobytes() for row in amap.values}
+        texts = {}
+        amap.db_to_csv(tmp_path / "db.csv", texts=texts)
+        assert (len(rows), len(magnitudes)) == (12, 8)
+        assert len(texts) == 1 + len(magnitudes)  # the angle header, then one text per |row|
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda k: st.lists(

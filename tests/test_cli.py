@@ -242,6 +242,12 @@ class TestConfigFile:
         design = WaveformDesign.load(tmp_path / "design.json")
         assert design.n_pulses == 8 and design.grid.m == 7 and design.grid.kind == "doppler"
 
+    def test_value_starting_with_a_dash(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "interval": [0, 1], "out": "-d.json"}))
+        assert run("design", "--out-dir", tmp_path, "--config", cfg) == 0
+        assert WaveformDesign.load(tmp_path / "-d.json").n_pulses == 8
+
     def test_config_samples_add_to_flag_samples(self, tmp_path, pair64):
         path = make_design(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -285,8 +291,8 @@ BAD_VALUES = {
     "--log2-length": [[-1]],
     "--seed": [[-1]],
     "--eps": [[0], ["nan"]],
-    "--interval": [[2, 0], ["nan", 1]],
-    "--eval-interval": [[2, 0], [0, "nan"]],
+    "--interval": [[2, 0], ["nan", 1], [0, "inf"]],
+    "--eval-interval": [[2, 0], [0, "nan"], [0, "inf"]],
 }
 
 # command: (an otherwise valid argv, every ruled option the command declares); "DESIGN" is a stored design

@@ -91,10 +91,6 @@ class TestCorrelations:
         with pytest.raises(IndexError):
             prof[3]
 
-    def test_profile_table(self):
-        prof = autocorrelation([1, 1])
-        assert prof.to_table() == [[-1, 1], [0, 2], [1, 1]]
-
     def test_profile_rejects_even_length(self):
         with pytest.raises(ValueError):
             CorrelationProfile(np.array([1, 2, 3, 4]))

@@ -14,7 +14,6 @@ from compwave import (
     design_from_lambda,
     design_from_vector,
     design_matrix,
-    hcd,
     null_space_basis,
     snr_ratio,
     snr_upper_bound,
@@ -159,9 +158,6 @@ class TestCoordinateDescent:
         b = coordinate_descent(Z, restarts=3, sweeps=5, seed=11)
         assert np.array_equal(a.best_lambda, b.best_lambda)
         assert a.traces == b.traces
-
-    def test_alias(self):
-        assert hcd is coordinate_descent
 
     def test_invalid_parameters(self, basis_16):
         _, Z = basis_16
