@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import _phase_matrix, evaluation_grid
+from .design import _responses, evaluation_grid
 from .golay import _correlate, as_biphase
 
 __all__ = [
@@ -93,9 +93,9 @@ def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
-    """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each angle."""
+    """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each angle (one :func:`_responses` pass)."""
     v = np.asarray(coeffs, dtype=complex).ravel()
-    return _phase_matrix(np.atleast_1d(np.asarray(angles, dtype=float)), v.size) @ v
+    return _responses(np.asarray(angles, dtype=float), v)[0]
 
 
 def _grid_index(angles: np.ndarray, angle: float) -> int:
@@ -280,16 +280,14 @@ def _two_terms(pair, p, w, angles):
     odd = 1/2 d f_z(theta); ``sums`` holds s per row, and lag k uses row
     ``index[k]``.  A row takes the same IEEE operations as the dense outer
     product at each of its lags, so gathering reproduces that array bit
-    for bit.  f_w and f_z are two
-    mat-vecs on one phase matrix; a single matmul over both may round
+    for bit.  f_w and f_z are two mat-vecs per phase block of one
+    :func:`_responses` pass; a single matmul over both may round
     differently.
     """
     x, y = _pair_arrays(pair)
     pp, ww = _schedule_weights(p, w)
     ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    phases = _phase_matrix(ang, pp.size)
-    fw = phases @ ww
-    fz = phases @ (pp * ww)
+    fw, fz = _responses(ang, ww, pp * ww)
     cx = _correlate(x, x)
     cy = _correlate(y, y)
     coef, index = _lag_rows(cx + cy, cx - cy)

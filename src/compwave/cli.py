@@ -368,7 +368,7 @@ def cmd_polar(args) -> None:
     design, kind, pair, angles = _load_design(args)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
     scattering = ScatteringMatrix(*args.scattering)
-    # every sample is checked against the axes before any map is computed or directory made
+    # samples are checked before any map is computed, and maps are built before the directory is made
     points = []
     for lag_val, angle in args.sample or []:
         if not lag_val.is_integer():
@@ -378,8 +378,8 @@ def cmd_polar(args) -> None:
             raise CliError(f"sample lag {lag} outside [-{pair.length - 1}, {pair.length - 1}]")
         _grid_index(angles, angle)
         points.append((lag, angle))
-    out = _out_dir(args)
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
+    out = _out_dir(args)
     texts = {}  # row-text memo shared by the channels, which share most rows bit for bit
     for name, channel in amb.channels.items():
         channel.to_csv(out / f"{prefix}_{name}.csv", texts=texts)

@@ -94,14 +94,14 @@ def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
     """``count`` evenly spaced angles over [lo, hi] inclusive, for maps and design grids alike.
 
     ``count`` = 1 gives the single angle lo.  ValueError when ``count`` is
-    below 1, an endpoint is infinite, or the endpoints are out of order
-    (lo > hi, or a nan).
+    below 1, an endpoint or the width hi - lo is infinite, or the
+    endpoints are out of order (lo > hi, or a nan).
     """
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError(f"interval endpoints must be finite: [{lo}, {hi}]")
+    if not np.isfinite([lo, hi, hi - lo]).all():
+        raise ValueError(f"interval endpoints and width must be finite: [{lo}, {hi}]")
     if count < 1:
         raise ValueError("count must be at least 1")
     return np.linspace(lo, hi, int(count))
@@ -112,16 +112,61 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
 
     ``grid`` may be a :class:`ResilienceGrid` or a bare array of angles.
     N < 2 is rejected: a single pulse admits no nontrivial schedule.
+    The library forms E whole only for :func:`null_space_basis`; its
+    products E @ v run through :func:`_responses`.
     """
+    return _phase_matrix(_constraint_angles(grid, n_pulses), n_pulses)
+
+
+def _constraint_angles(grid, n_pulses: int) -> np.ndarray:
+    """The angles of ``grid`` (a :class:`ResilienceGrid` or bare angles) for an N-pulse design, N >= 2."""
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
-    angles = grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
-    return _phase_matrix(angles, n_pulses)
+    return grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
 
 
 def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
-    """exp(j n theta_m), shape (M, N): the one phase matrix of designs and slow-time responses."""
-    return np.exp(1j * np.outer(angles, np.arange(n)))
+    """exp(j n theta_m), shape (M, N): the one phase matrix of designs and slow-time responses.
+
+    ValueError when a phase n theta_m overflows (or an angle is nan):
+    exp would fill the matrix with nan.  The exponents are bit for bit
+    those of ``1j * np.outer(angles, np.arange(n))`` (the tests check
+    it) without that product's extra pass over the matrix.
+    """
+    top = float(np.abs(angles).max()) if angles.size else 0.0
+    if not np.isfinite(top * (n - 1)):
+        raise ValueError(f"phase overflows: max |angle| {top:g} times N - 1 = {n - 1} is not finite")
+    phases = np.outer(angles, 1j * np.arange(n))
+    return np.exp(phases, out=phases)
+
+
+# OpenBLAS hands a complex gemv of 4096 or more matrix entries to its thread pool
+_GEMV_ENTRIES = 4096
+
+
+def _responses(angles: np.ndarray, *vectors) -> list:
+    """[E(angles) @ v for each v]: the slow-time responses f_v of equal-length complex ``vectors``.
+
+    E is built in balanced row blocks of fewer than 4096 entries, each
+    serving every vector, so each gemv runs on the calling thread and
+    no BLAS worker spins between calls.  The gemv computes an output
+    alike in any block, so f_v is the whole product's bit for bit.  No
+    block has one row unless there is one angle: numpy sends a 1-row
+    product to a dot kernel that rounds differently.  Above N = 1365
+    that 2-row minimum can take a block past the limit.
+    """
+    angles = np.ravel(angles)
+    n, m = vectors[0].size, angles.size
+    rows = max(1, (_GEMV_ENTRIES - 1) // max(1, n))
+    blocks = max(1, min(-(-m // rows), m // 2))
+    out = [np.empty(m, dtype=complex) for _ in vectors]
+    stop = 0
+    for block in np.array_split(angles, blocks):
+        start, stop = stop, stop + block.size
+        phases = _phase_matrix(block, n)
+        for f, v in zip(out, vectors):
+            f[start:stop] = phases @ v
+    return out
 
 
 def null_space_basis(matrix: np.ndarray) -> np.ndarray:
@@ -266,11 +311,10 @@ class WaveformDesign:
 
 
 def design_from_vector(zhat: np.ndarray, grid: ResilienceGrid) -> WaveformDesign:
-    """Wrap a null vector as a WaveformDesign, recording its residual."""
+    """Wrap a null vector as a WaveformDesign, recording its residual ||f_z(grid)||_2 / ||w||_2."""
     p, w = extract_design(zhat)
-    E = design_matrix(grid, p.size)
-    residual = float(np.linalg.norm(E @ (p * w)) / np.linalg.norm(w))
-    return WaveformDesign(p=p, w=w, grid=grid, residual=residual)
+    (fz,) = _responses(_constraint_angles(grid, p.size), p * w)
+    return WaveformDesign(p=p, w=w, grid=grid, residual=float(np.linalg.norm(fz) / np.linalg.norm(w)))
 
 
 def _null_space(n_pulses: int, interval, constraints, kind: str):
@@ -355,16 +399,17 @@ class DesignReport:
 
 
 def validate_design(design: WaveformDesign) -> DesignReport:
-    """Check the emitted-design conditions on the phase matrix of ``design.grid``.
+    """Check the emitted-design conditions at the angles of ``design.grid``.
 
+    Both residuals read f_z and f_w off one pass of :func:`_responses`.
     The bounds are fixed: null residual at most 1e-10, mainlobe residual
     above 1e-3.  ValueError for a design without a grid (a baseline scheme).
     """
     if design.grid is None:
         raise ValueError("design carries no grid to check its conditions on")
-    matrix = design_matrix(design.grid, design.n_pulses)
+    fz, fw = _responses(_constraint_angles(design.grid, design.n_pulses), design.z, design.w)
     wnorm = np.linalg.norm(design.w)
     return DesignReport(
-        nullspace_residual=float(np.linalg.norm(matrix @ design.z) / wnorm),
-        mainlobe_residual=float(np.linalg.norm(matrix @ design.w) / wnorm),
+        nullspace_residual=float(np.linalg.norm(fz) / wnorm),
+        mainlobe_residual=float(np.linalg.norm(fw) / wnorm),
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguityMap, _lag_rows, _schedule_weights, _two_terms
-from .design import _NULL_TOL, design_matrix
+from .design import _NULL_TOL, _constraint_angles, _responses
 from .golay import _correlate
 
 __all__ = [
@@ -137,10 +137,12 @@ def cross_channel_nulls(p, w, grid):
     angle makes the co-polar sidelobes vanish and zeroes both
     cross-polar channels; it is the same condition the null-space
     design solves, with the same 1e-10 bound.  The residual is
-    max_m |f_z(theta_m)| / ||p*w||_2, read off ``design_matrix(grid, N) @ (p*w)``
-    (``grid``: a grid or bare angles).
+    max_m |f_z(theta_m)| / ||p*w||_2, with f_z from one
+    :func:`~compwave.design._responses` pass (``grid``: a grid or bare
+    angles).
     """
     pp, ww = _schedule_weights(p, w)
     z = pp * ww
-    residual = float(np.abs(design_matrix(grid, z.size) @ z).max() / np.linalg.norm(z))
+    (fz,) = _responses(_constraint_angles(grid, z.size), z)
+    residual = float(np.abs(fz).max() / np.linalg.norm(z))
     return residual <= _NULL_TOL, residual

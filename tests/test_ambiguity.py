@@ -21,6 +21,7 @@ from compwave import (
     write_columns_csv,
     write_two_column_csv,
 )
+from compwave.design import _phase_matrix
 
 
 def per_pulse_oracle(x, y, p, w, angles):
@@ -77,7 +78,9 @@ class TestEvaluationGrid:
         with pytest.raises(ValueError, match="out of order"):
             evaluation_grid(lo, hi, count)
 
-    @pytest.mark.parametrize("lo, hi", [(0, float("inf")), (-float("inf"), 0), (-float("inf"), float("inf"))])
+    # the last pair's width hi - lo overflows, and linspace would fill the grid with nan
+    @pytest.mark.parametrize("lo, hi", [(0, float("inf")), (-float("inf"), 0), (-float("inf"), float("inf")),
+                                        (-1e308, 1e308)])
     def test_rejects_infinite_endpoints(self, lo, hi):
         with pytest.raises(ValueError, match="must be finite"):
             evaluation_grid(lo, hi, 3)
@@ -495,10 +498,13 @@ class TestCsvOracle:
 
 # Dense oracle for the factored maps: every lag row as its own outer
 # product, the evaluation the library used before it stored distinct rows.
+# f_w and f_z come from the whole phase matrix, not the library's blocked products.
 def dense_maps(pair, p, w, angles):
     x, y = (as_biphase(s) for s in pair)
-    fw = slow_time_response(w, angles)
-    fz = slow_time_response(as_biphase(p) * np.asarray(w, dtype=complex), angles)
+    w = np.asarray(w, dtype=complex)
+    phases = _phase_matrix(np.asarray(angles, dtype=float), w.size)
+    fw = phases @ w
+    fz = phases @ (as_biphase(p) * w)
     cx, cy = np.correlate(x, x, "full"), np.correlate(y, y, "full")
     even = 0.5 * np.outer(cx + cy, fw)
     odd = 0.5 * np.outer(cx - cy, fz)

@@ -340,6 +340,24 @@ def test_non_finite_weight_file_rejected_before_work(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--n", 8, "--interval", 0, 1e308], "phase overflows"),
+    (["design", "--n", 8, "--interval", -1e308, 1e308], "width must be finite"),
+    (["compare", "--n", 8, "--interval", 0, 1e308, "--points", 5], "phase overflows"),
+    (["compare", "--n", 8, "--interval", 0, 2, "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
+    (["evaluate", "--design", "DESIGN", "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
+    (["polar", "--design", "DESIGN", "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
+], ids=lambda value: " ".join(map(str, value)) if isinstance(value, list) else None)
+def test_overflowing_interval_rejected_before_any_file(tmp_path, capsys, stored_design, argv, message):
+    # finite endpoints whose phases n theta (or whose width) overflow: named, with no numpy warning
+    argv = [stored_design if token == "DESIGN" else token for token in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSnrSweepCommand:
     def test_sweep_table(self, tmp_path):
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12,

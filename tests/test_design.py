@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import compwave.design
 from compwave import (
     EmptyNullSpaceError,
     ResilienceGrid,
     WaveformDesign,
     design_from_vector,
     design_matrix,
+    discrete_ambiguity,
+    evaluation_grid,
     extract_design,
     null_space_basis,
     null_space_design,
     validate_design,
 )
+from compwave.design import _phase_matrix, _responses
 
 
 class TestResilienceGrid:
@@ -69,6 +75,68 @@ class TestDesignMatrix:
     def test_rejects_single_pulse(self):
         with pytest.raises(ValueError):
             design_matrix(ResilienceGrid(angles=[0.0]), 1)
+
+    @pytest.mark.parametrize("angles, n", [([0.0, 1e308], 8), ([-1e308], 3), ([0.5, np.nan], 3)])
+    def test_rejects_overflowing_phase(self, angles, n):
+        # n theta overflows to inf (or is nan), and exp would fill E with nan
+        with pytest.raises(ValueError, match="phase overflows"):
+            design_matrix(angles, n)
+
+    def test_largest_finite_phase_accepted(self):
+        assert np.isfinite(design_matrix([1e308 / 7], 8)).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), angles=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]), st.floats(-1e300, 1e300)), min_size=1, max_size=40))
+    def test_phase_bits_match_the_literal_formula(self, n, angles):
+        angles = np.array(angles)
+        expected = np.exp(1j * np.outer(angles, np.arange(n)))
+        assert np.array_equal(_phase_matrix(angles, n).view(np.uint64), expected.view(np.uint64))
+
+
+def cnormal(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class TestResponses:
+    """The blocked slow-time products against the whole phase-matrix product."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 300), k=st.integers(1, 5), count=st.sampled_from(["1", "2", "k", "k+1", "k+2"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_whole_product(self, n, k, count, seed):
+        rows = 4095 // n  # the most rows a block below 4096 entries holds
+        m = {"1": 1, "2": 2, "k": k * rows, "k+1": k * rows + 1, "k+2": k * rows + 2}[count]
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-np.pi, np.pi, m)
+        vectors = [cnormal(rng, n), cnormal(rng, n)]
+        whole = _phase_matrix(angles, n)
+        for f, v in zip(_responses(angles, *vectors), vectors):
+            assert np.array_equal(f.view(float), (whole @ v).view(float))
+
+    @pytest.mark.parametrize("n", [5, 1366, 2048, 5000])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    def test_few_angles_and_wide_trains(self, n, m):
+        # from N = 1366 on a block keeps 2 rows even past 4096 entries
+        v = cnormal(np.random.default_rng(7), n)
+        angles = np.linspace(0.0, 1.0, m)
+        assert np.array_equal(_responses(angles, v)[0].view(float), (_phase_matrix(angles, n) @ v).view(float))
+
+    def test_blocks_stay_below_the_threaded_gemv(self, monkeypatch, pair64, design_02):
+        # OpenBLAS threads a complex gemv from 4096 entries on; a 1-row block would take numpy's dot kernel
+        wide = null_space_design(128, (0.0, 2.0))
+        shapes = []
+
+        def recording(angles, n):
+            shapes.append((angles.size, n))
+            return _phase_matrix(angles, n)
+
+        monkeypatch.setattr(compwave.design, "_phase_matrix", recording)
+        discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 2001))
+        assert sum(rows for rows, _ in shapes) == 2001 and {n for _, n in shapes} == {48}
+        validate_design(wide)
+        assert sum(rows for rows, n in shapes if n == 128) == wide.grid.m
+        assert all(2 <= rows and rows * n < 4096 for rows, n in shapes)
 
 
 class TestNullSpaceBasis:
