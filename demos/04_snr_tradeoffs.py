@@ -22,7 +22,7 @@ from compwave import (
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--restarts", type=int, default=6)
-parser.add_argument("--sweeps", type=int, default=40, help="step budget per restart, in multiples of U")
+parser.add_argument("--sweeps", type=int, default=40, help="map evaluations per restart, in multiples of U")
 parser.add_argument("--seed", type=int, default=0)
 args = parser.parse_args()
 

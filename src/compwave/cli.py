@@ -115,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     hcd_opts = _Parser(add_help=False)
     hcd_opts.add_argument("--restarts", type=_number(int, 1), default=20, help="hcd optimizer starts")
     hcd_opts.add_argument("--sweeps", type=_number(int, 1), default=100,
-                          help="hcd step budget per restart, in multiples of the null-space width")
+                          help="hcd map evaluations per restart, in multiples of the null-space width U")
     hcd_opts.add_argument("--eps", type=_number(float, 0, strict=True), default=1e-6,
-                          help="hcd stops a restart once a step moves the unit-norm null vector by at most this")
+                          help="hcd stops a restart once a cycle moves the unit-norm null vector by at most this")
 
     parser = _Parser(prog="compwave", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,13 +239,18 @@ def _resolve_pair(args) -> GolayPair:
     return generate_golay_pair(length.bit_length() - 1)
 
 
-def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0):
-    """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report)."""
+def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0, space=None):
+    """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report).
+
+    ``space`` is the (grid, basis) of ``_null_space(n, interval, m, kind)`` when the caller already has it.
+    """
     if method == "bd":
         return binomial_design(n), None
+    grid, basis = space or _null_space(n, interval, m, kind)
     if method == "first-basis":
-        return null_space_design(n, interval, constraints=m, kind=kind, basis_index=basis_index), None
-    grid, basis = _null_space(n, interval, m, kind)
+        if basis_index >= basis.shape[1]:
+            raise ValueError(f"basis_index {basis_index} outside 0..{basis.shape[1] - 1}")
+        return design_from_vector(basis[:, basis_index], grid), None
     if method == "bs":
         return design_from_vector(basis_selection(basis), grid), None
     report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, eps=args.eps, seed=args.seed)
@@ -335,15 +340,19 @@ def cmd_compare(args) -> None:
 def _write_sweep(path: Path, args, n_list, methods, interval):
     """Write the ``n,method,snr_ratio`` table (ratio to 17 digits), leaving a failed cell blank.
 
-    Returns None, or the error to raise once the command's files are written: EmptyNullSpaceError
-    (exit 2) when every failed cell is an empty null space, else CliError (exit 1).
+    The null-space methods of one N share its null space, computed once.  Returns None, or the
+    error to raise once the command's files are written: EmptyNullSpaceError (exit 2) when every
+    failed cell is an empty null space, else CliError (exit 1).
     """
     lines = ["n,method,snr_ratio"]
     failed = []
     for n in n_list:
+        space = None
         for method in methods:
             try:
-                w = _build_design(args, n, interval, method=method)[0].w
+                if space is None and method != "bd":
+                    space = _null_space(n, interval, None, "doppler")
+                w = _build_design(args, n, interval, method=method, space=space)[0].w
                 lines.append(f"{n},{method},{snr_ratio(w):.17g}")
             except (EmptyNullSpaceError, ValueError) as exc:
                 print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)

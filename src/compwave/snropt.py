@@ -23,10 +23,17 @@ iteration (IEEE TPAMI 30(9), 2008)
 
 never lowers ||Q mu||_1: the new mu maximizes Re(u^H Q mu) on the
 sphere, and ||Q mu||_1 >= Re(u^H Q mu) for every unimodular u.  The
-restarts step in lockstep as the columns of one block V = Q M, so a
-step of all running restarts costs one matrix-matrix product pair;
-lambda = R^{-1} mu is formed once, at the end.  ``snr_upper_bound``
-certifies how far the best ratio can lie above a found one.
+iteration is accelerated by SQUAREM (scheme S3 of Varadhan & Roland,
+Scand. J. Stat. 35(2), 2008).  With F the map above, one cycle takes
+x1 = F(x0), x2 = F(x1), r = x1 - x0, c = x2 - 2 x1 + x0 and
+alpha = min(-||r|| / ||c||, -1), then one stabilizing F at
+x' = x0 - 2 alpha r + alpha^2 c; as a monotone safeguard the cycle
+ends at whichever of F(x') and x2 has the lower g.  The restarts cycle
+in lockstep as the columns v = Q mu of one N x R block, so a map
+evaluation of all running restarts costs one product with the
+projector P = Q Q^H; lambda = R^{-1} Q^H v is formed once, at the end.
+``snr_upper_bound`` certifies how far the best ratio can lie above a
+found one.
 """
 from __future__ import annotations
 
@@ -58,12 +65,13 @@ def snr_ratio(w) -> float:
     ww = np.asarray(w, dtype=complex).ravel()
     if not np.any(ww != 0):
         raise ValueError("snr_ratio undefined for the zero vector")
-    return _ratio(np.abs(ww))
+    return float(_ratio(np.abs(ww)))
 
 
-def _ratio(mags: np.ndarray) -> float:
-    l1 = mags.sum()
-    return float(l1 * l1 / (mags * mags).sum())
+def _ratio(mags: np.ndarray):
+    """The ratio of each column of ``mags`` (of the vector, when 1-D)."""
+    l1 = mags.sum(axis=0)
+    return l1 * l1 / (mags * mags).sum(axis=0)
 
 
 def basis_selection(Z: np.ndarray) -> np.ndarray:
@@ -96,8 +104,8 @@ def _objective(v: np.ndarray) -> float:
 class OptimizerReport:
     """Outcome of an optimizer run, winner plus full audit trail.
 
-    ``traces[r]`` lists the objective after every step of restart r; each
-    is non-increasing because a step that fails to strictly decrease the
+    ``traces[r]`` lists the objective after every cycle of restart r; each
+    is non-increasing because a cycle that fails to strictly decrease the
     objective is rejected and ends the restart.  ``snr`` is the ratio
     1/objective of the winning lambda.
     """
@@ -138,20 +146,24 @@ def coordinate_descent(
 ) -> OptimizerReport:
     """Restarted fixed-point L1 ascent on g(lambda) over complex lambda.
 
+    Each iteration is one SQUAREM (S3) cycle of the fixed-point map
+    (Varadhan & Roland, Scand. J. Stat. 35(2), 2008; see the module
+    docstring): three map evaluations and a monotone safeguard.
     Restart 0 starts at the basis-selection vertex, so the returned ratio
     never falls below basis selection's; the remaining restarts draw
     standard complex Gaussian starts from a seeded generator.  Z is
     orthonormalized once by QR, so its columns need only be linearly
-    independent.  Each restart takes at most ``sweeps`` x U steps
-    (U = basis width) and stops early when a step fails to strictly
+    independent.  Each restart makes at most ``sweeps`` x U map
+    evaluations (U = basis width), counted in whole cycles of three,
+    rounded up, and stops early when a cycle fails to strictly
     decrease g or moves the unit vector Z lambda by no more than
-    ``eps`` in 2-norm.  A rejected step is recorded in the trace with
+    ``eps`` in 2-norm.  A rejected cycle is recorded in the trace with
     the unchanged g and leaves lambda as it was, so a restart that
-    accepts no step returns its start.
+    accepts no cycle returns its start.
 
-    All restarts step together in the orthonormal frame, as the columns
-    of one block V = Q M; a restart leaves the block when it stops.  Its
-    lambda = R^{-1} mu is formed once, at the end, and its g measured
+    All restarts cycle together, as the columns v = Q mu of one block;
+    a restart leaves the block when it stops.  Its
+    lambda = R^{-1} Q^H v is formed once, at the end, and its g measured
     again on Z lambda: that value ends its trace (earlier entries are
     floored at it, which moves only entries within rounding of it), and
     a restart whose mapped-back g is not below its start returns the
@@ -171,6 +183,7 @@ def coordinate_descent(
     vertex = int(np.argmax(np.abs(Z).sum(axis=0)))
     Q, R = np.linalg.qr(Z)
     Qh = Q.conj().T
+    P = Q @ Qh
 
     # row r of starts is restart r's lambda; restart 0 is the vertex itself,
     # unscaled, so Z lambda is its column bit for bit
@@ -181,33 +194,47 @@ def coordinate_descent(
         if np.any(Z @ draw != 0):
             starts[r] = draw / np.linalg.norm(Z @ draw)
     g = np.array([_objective(Z @ lam) for lam in starts])
-    v = Z @ starts.T
 
-    # lockstep: the columns v of the active restarts step together; each state
-    # is kept as M[:, r] = mu with Z lambda = Q mu, and mapped back once at the end
-    M = Qh @ v
+    def fixed_point(V):
+        """The map on the block V = Q mu, in that frame: Q mu' = P phase(V) / ||P phase(V)||."""
+        mags = np.abs(V)
+        V = P @ np.divide(V, mags, out=np.ones_like(V), where=mags > 0)
+        V *= 1 / np.linalg.norm(V, axis=0)
+        return V
+
+    # lockstep: the columns v of the active restarts take one S3 cycle per
+    # iteration; each state is kept as W[:, r] = Q mu, and mapped back to
+    # lambda = R^{-1} Q^H W[:, r] once at the end
+    v = Z @ starts.T
+    W = v.copy()
     history = [g.copy()]
     steps = np.zeros(restarts, dtype=int)
     moved = np.zeros(restarts, dtype=int)
     active = np.arange(restarts)
-    for it in range(1, sweeps * width + 1):
-        mags = np.abs(v)
-        mu = Qh @ np.divide(v, mags, out=np.ones_like(v), where=mags > 0)
-        mu /= np.linalg.norm(mu, axis=0)
-        v_new = Q @ mu
-        mags = np.abs(v_new)
-        l1 = mags.sum(axis=0)
-        g_new = 1.0 / (l1 * l1 / (mags * mags).sum(axis=0))
+    for it in range(1, -(-sweeps * width // 3) + 1):
+        v1 = fixed_point(v)
+        v2 = fixed_point(v1)
+        d1 = v1 - v  # r and c of the module docstring, in the frame of v
+        d2 = v2 - v1 - d1
+        r2, c2 = (np.abs(d1) ** 2).sum(axis=0), (np.abs(d2) ** 2).sum(axis=0)
+        alpha = -np.sqrt(np.maximum(np.divide(r2, c2, out=np.ones_like(r2), where=c2 > 0), 1.0))
+        # the map ignores scale, so x' enters it unnormalized
+        v3 = fixed_point(v - 2 * alpha * d1 + alpha * alpha * d2)
+        # monotone safeguard: the stabilized extrapolation only where it beats x2
+        g2, g3 = 1.0 / _ratio(np.abs(v2)), 1.0 / _ratio(np.abs(v3))
+        pick = g3 < g2
+        g_new = np.where(pick, g3, g2)
         better = np.flatnonzero(g_new < g[active])
         accepted = active[better]
-        step = np.linalg.norm(mu[:, better] - M[:, accepted], axis=0)
-        M[:, accepted] = mu[:, better]
+        v_new = np.where(pick, v3, v2)[:, better]
+        step = np.linalg.norm(v_new - v[:, better], axis=0)
+        W[:, accepted] = v_new
         g[accepted] = g_new[better]
         moved[accepted] = it
         steps[active] = it
         history.append(g.copy())
         going = step > eps
-        active, v = accepted[going], v_new[:, better[going]]
+        active, v = accepted[going], v_new[:, going]
         if not active.size:
             break
 
@@ -216,7 +243,7 @@ def coordinate_descent(
     # start, so the winner never falls below the vertex
     history = np.array(history)
     lam = list(starts)
-    for r, cand in zip(np.flatnonzero(moved), np.linalg.solve(R, M[:, moved > 0]).T.copy()):
+    for r, cand in zip(np.flatnonzero(moved), np.linalg.solve(R, Qh @ W[:, moved > 0]).T.copy()):
         g_cand = _objective(Z @ cand)
         lam[r], g[r] = (cand, g_cand) if g_cand < history[0, r] else (starts[r], history[0, r])
     traces = []

@@ -41,10 +41,10 @@ def force_failed_cell(monkeypatch, error, cell):
     """Make the CLI's design builder raise ``error`` for one ``(n, method)`` cell."""
     build = compwave.cli._build_design
 
-    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0):
+    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0, space=None):
         if (n, method) == cell:
             raise error("forced failure")
-        return build(args, n, interval, m, kind, method, basis_index)
+        return build(args, n, interval, m, kind, method, basis_index, space)
 
     monkeypatch.setattr(compwave.cli, "_build_design", failing)
 
@@ -399,6 +399,33 @@ class TestSnrSweepCommand:
         assert len(rows) == 5 and "12,bs," in rows
         assert all(row.split(",")[2] for row in rows[1:] if row != "12,bs,")
         assert "1 sweep cell(s) failed: N=12 bs" in capsys.readouterr().err
+
+    def test_each_null_space_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        null_space = compwave.cli._null_space
+        monkeypatch.setattr(compwave.cli, "_null_space", lambda *a: calls.append(a[0]) or null_space(*a))
+        assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12, "--restarts", 2, "--sweeps", 3) == 0
+        assert calls == [8, 12]
+        assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, "--optimizers", "bd") == 0
+        assert calls == [8, 12]
+
+    def test_failed_null_space_fails_each_of_its_cells(self, tmp_path, monkeypatch, capsys):
+        null_space = compwave.cli._null_space
+
+        def failing(n, *rest):
+            if n == 12:
+                raise EmptyNullSpaceError("forced failure")
+            return null_space(n, *rest)
+
+        monkeypatch.setattr(compwave.cli, "_null_space", failing)
+        assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12,
+                   "--restarts", 2, "--sweeps", 3, "--out", "sweep.csv") == 2
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [row for row in rows if row.endswith(",")] == ["12,first-basis,", "12,bs,", "12,hcd,"]
+        err = capsys.readouterr().err
+        for method in ("first-basis", "bs", "hcd"):
+            assert f"warning: N=12 {method} failed: forced failure" in err
+        assert "3 sweep cell(s) failed: N=12 first-basis, N=12 bs, N=12 hcd" in err
 
 
 class TestPolarCommand:
