@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import _responses, evaluation_grid
-from .golay import _correlate, as_biphase
+from .design import _responses, _schedule_weights, evaluation_grid
+from .golay import _biphase_pair, _correlate
 
 __all__ = [
     "slow_time_response",
@@ -107,20 +107,13 @@ def _grid_index(angles: np.ndarray, angle: float) -> int:
     return idx
 
 
-def _pair_arrays(pair):
-    x, y = pair
-    xx, yy = as_biphase(x), as_biphase(y)
-    if xx.size != yy.size:
-        raise ValueError(f"pair length mismatch: {xx.size} vs {yy.size}")
-    return xx, yy
-
-
-def _schedule_weights(p, w):
-    pp = as_biphase(p)
-    ww = np.asarray(w, dtype=complex).ravel()
-    if pp.size != ww.size:
-        raise ValueError(f"schedule/weight length mismatch: {pp.size} vs {ww.size}")
-    return pp, ww
+def _lag_position(length: int, lag) -> int:
+    """Row position of ``lag`` on the axis -(L-1)..L-1; ValueError unless an integer (3.0 is one) on it."""
+    if not float(lag).is_integer():
+        raise ValueError(f"lag {lag} is not an integer")
+    if not -(length - 1) <= lag <= length - 1:
+        raise ValueError(f"lag {lag} outside [-{length - 1}, {length - 1}]")
+    return int(lag) + length - 1
 
 
 def _lag_rows(*columns):
@@ -205,12 +198,17 @@ class AmbiguityMap:
             raise ValueError("a length-1 pair has no sidelobes: its map has no nonzero lag")
         return np.abs(self._rows[np.unique(np.delete(self._index, self.sequence_length - 1))]).max(axis=0)
 
-    def _db_rows(self, reference: float = None) -> np.ndarray:
-        """20 log10(|row| / reference) per distinct row; the map's own peak by default."""
+    def _db_reference(self, reference: float = None) -> float:
+        """The dB normalization: ``reference``, else the map's own peak; ValueError unless finite and positive."""
         ref = self.peak if reference is None else float(reference)
         if not (np.isfinite(ref) and ref > 0):
             source = "map peak" if reference is None else "reference peak"
             raise ValueError(f"{source} must be finite and positive for a dB normalization, got {ref}")
+        return ref
+
+    def _db_rows(self, reference: float = None) -> np.ndarray:
+        """20 log10(|row| / reference) per distinct row; the map's own peak by default."""
+        ref = self._db_reference(reference)
         # rows with negated coefficients differ only in sign: negation is exact up to
         # the sign of a zero and abs drops that sign, so their dB rows are
         # bit-identical and share one row-text memo key
@@ -226,10 +224,8 @@ class AmbiguityMap:
         return self._db_rows()[self._index]
 
     def lag_index(self, lag: int) -> int:
-        L = self.sequence_length
-        if not -(L - 1) <= lag <= L - 1:
-            raise ValueError(f"lag {lag} outside [-{L - 1}, {L - 1}]")
-        return int(lag + L - 1)
+        """Row position of ``lag``; ValueError for a non-integer lag or one off the lag axis."""
+        return _lag_position(self.sequence_length, lag)
 
     def angle_index(self, angle: float) -> int:
         return _grid_index(self.angles, angle)
@@ -284,7 +280,7 @@ def _two_terms(pair, p, w, angles):
     :func:`_responses` pass; a single matmul over both may round
     differently.
     """
-    x, y = _pair_arrays(pair)
+    x, y = _biphase_pair(*pair)
     pp, ww = _schedule_weights(p, w)
     ang = np.atleast_1d(np.asarray(angles, dtype=float))
     fw, fz = _responses(ang, ww, pp * ww)

@@ -35,6 +35,7 @@ from .ambiguity import (
     write_columns_csv,
     write_two_column_csv,
     _grid_index,
+    _lag_position,
 )
 from .baselines import binomial_design, ptm_schedule
 from .design import (
@@ -72,14 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _number(cast, low, strict=False):
-    """argparse type: ``cast(text)`` at least ``low``, or above it when ``strict`` (nan fails both)."""
+def _int_at_least(low):
+    """argparse type: an int at least ``low``."""
     def parse(text):
-        value = cast(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {'above' if strict else 'at least'} {low}, got {text}")
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return value
-    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
     return parse
 
 
@@ -100,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", help="output directory (default: $COMPWAVE_OUT_DIR or .)")
     common.add_argument("--config", help="JSON config file; flags override file values")
-    common.add_argument("--seed", type=_number(int, 0), default=0, help="seed for randomized paths")
 
     pair_opts = _Parser(add_help=False)
     pair_opts.add_argument("--pair", default="length64",
@@ -110,14 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_opts = _Parser(add_help=False)
     eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered,
                            help="evaluation angle interval (default: the design interval)")
-    eval_opts.add_argument("--points", type=_number(int, 1), default=2001, help="evaluation grid size")
+    eval_opts.add_argument("--points", type=_int_at_least(1), default=2001, help="evaluation grid size")
 
     hcd_opts = _Parser(add_help=False)
-    hcd_opts.add_argument("--restarts", type=_number(int, 1), default=20, help="hcd optimizer starts")
-    hcd_opts.add_argument("--sweeps", type=_number(int, 1), default=100,
+    hcd_opts.add_argument("--restarts", type=_int_at_least(1), default=20, help="hcd optimizer starts")
+    hcd_opts.add_argument("--sweeps", type=_int_at_least(1), default=100,
                           help="hcd map evaluations per restart, in multiples of the null-space width U")
-    hcd_opts.add_argument("--eps", type=_number(float, 0, strict=True), default=1e-6,
-                          help="hcd stops a restart once a cycle moves the unit-norm null vector by at most this")
+    hcd_opts.add_argument("--seed", type=_int_at_least(0), default=0,
+                          help="seed of the random starts of hcd restarts 1 and up (restart 0 starts at the bs column)")
 
     parser = _Parser(prog="compwave", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # "required" options default to None and are checked after parsing,
     # so they may come from either the flags or the config file
     p = sub.add_parser("design", parents=[common, hcd_opts], help="build and store a resilient design")
-    p.add_argument("--n", type=_number(int, 2), help="number of pulses")
+    p.add_argument("--n", type=_int_at_least(2), help="number of pulses")
     p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered)
-    p.add_argument("--m", type=_number(int, 1), help="constraint angles (default: N-1)")
+    p.add_argument("--m", type=_int_at_least(1), help="constraint angles (default: N-1)")
     p.add_argument("--kind", choices=("doppler", "delay"), default="doppler")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="first-basis")
-    p.add_argument("--basis-index", type=_number(int, 0), default=0, help="basis column for first-basis")
+    p.add_argument("--basis-index", type=_int_at_least(0), default=0, help="basis column for first-basis")
     p.add_argument("--out", default="design.json", help="design file name")
     p.set_defaults(func=cmd_design)
 
@@ -140,14 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", parents=[common, pair_opts, eval_opts], help="null-space vs baselines")
-    p.add_argument("--n", type=_number(int, 2), default=48)
+    p.add_argument("--n", type=_int_at_least(2), default=48)
     p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered)
-    p.add_argument("--m", type=_number(int, 1))
+    p.add_argument("--m", type=_int_at_least(1))
     p.add_argument("--prefix", default="compare")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("snr-sweep", parents=[common, hcd_opts], help="SNR ratio vs number of pulses")
-    p.add_argument("--n-list", type=_number(int, 2), nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--n-list", type=_int_at_least(2), nargs="+", default=[8, 16, 24, 32, 40, 48])
     p.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered, default=[0.0, 2.0])
     p.add_argument("--optimizers", nargs="+", choices=SWEEP_METHODS, default=list(SWEEP_METHODS))
     p.add_argument("--out", default="snr_sweep.csv")
@@ -163,14 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("golay-gen", parents=[common], help="generate a complementary pair")
-    p.add_argument("--log2-length", type=_number(int, 0), help="pair length is 2**this")
+    p.add_argument("--log2-length", type=_int_at_least(0), help="pair length is 2**this")
     p.add_argument("--out", default="golay_pair.json")
     p.set_defaults(func=cmd_golay_gen)
 
     p = sub.add_parser("repro", parents=[common, hcd_opts], help="full experiment pipeline")
-    p.add_argument("--n", type=_number(int, 2), default=48)
-    p.add_argument("--points", type=_number(int, 1), default=2001)
-    p.add_argument("--n-list", type=_number(int, 2), nargs="+", default=[8, 16, 24, 32, 40, 48])
+    p.add_argument("--n", type=_int_at_least(2), default=48)
+    p.add_argument("--points", type=_int_at_least(1), default=2001)
+    p.add_argument("--n-list", type=_int_at_least(2), nargs="+", default=[8, 16, 24, 32, 40, 48])
     p.add_argument("--label", help="directory label (default: timestamp)")
     p.set_defaults(func=cmd_repro)
 
@@ -253,7 +253,7 @@ def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis
         return design_from_vector(basis[:, basis_index], grid), None
     if method == "bs":
         return design_from_vector(basis_selection(basis), grid), None
-    report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, eps=args.eps, seed=args.seed)
+    report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, seed=args.seed)
     return design_from_lambda(basis, report.best_lambda, grid), report
 
 
@@ -377,17 +377,18 @@ def cmd_polar(args) -> None:
     design, kind, pair, angles = _load_design(args)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
     scattering = ScatteringMatrix(*args.scattering)
-    # samples are checked before any map is computed, and maps are built before the directory is made
+    # samples are checked before any map is computed, and maps and their dB peaks before the directory is made
     points = []
-    for lag_val, angle in args.sample or []:
-        if not lag_val.is_integer():
-            raise CliError(f"sample lag must be an integer, got {lag_val}")
-        lag = int(lag_val)
-        if not -(pair.length - 1) <= lag <= pair.length - 1:
-            raise CliError(f"sample lag {lag} outside [-{pair.length - 1}, {pair.length - 1}]")
+    for lag, angle in args.sample or []:
+        _lag_position(pair.length, lag)
         _grid_index(angles, angle)
-        points.append((lag, angle))
+        points.append((int(lag), angle))
     amb = polarimetric_ambiguities(pair, design.p, design.w, angles, kind=kind)
+    for name, channel in amb.channels.items():
+        try:
+            channel._db_reference()
+        except ValueError as exc:
+            raise CliError(f"{name} channel: {exc}") from exc
     out = _out_dir(args)
     texts = {}  # row-text memo shared by the channels, which share most rows bit for bit
     for name, channel in amb.channels.items():

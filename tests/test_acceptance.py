@@ -60,7 +60,7 @@ def snr_sweep():
         grid = ResilienceGrid.uniform(0.0, 2.0, n - 1)
         basis = null_space_basis(design_matrix(grid, n))
         bs_design = design_from_vector(basis_selection(basis), grid)
-        report = coordinate_descent(basis, restarts=6, sweeps=40, eps=1e-6, seed=0)
+        report = coordinate_descent(basis, restarts=6, sweeps=40, seed=0)
         hcd_design = design_from_lambda(basis, report.best_lambda, grid)
         results[n] = (bs_design, hcd_design, report)
     return results

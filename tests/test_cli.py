@@ -62,8 +62,10 @@ class TestDesignCommand:
 
     def test_hcd_writes_optimizer_report(self, tmp_path):
         make_design(tmp_path, n=8, optimizer="hcd", restarts=2, sweeps=3, out="opt.json")
-        data = json.loads((tmp_path / "opt_optimizer.json").read_text())
+        text = (tmp_path / "opt_optimizer.json").read_text()
+        data = json.loads(text)
         assert data["restarts"] == 2 and data["sweeps"] == 3
+        assert '"sweeps": 3,\n  "eps": 1e-06,\n  "seed": 0,' in text  # the fixed step tolerance, as always written
         assert data["snr"] >= 1.0
 
     def test_bs_optimizer(self, tmp_path):
@@ -269,8 +271,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, argv, values, message", [
         ("design", ["--interval", 0, 2], {"n": 1}, "key 'n': argument --n: must be at least 2, got 1"),
         ("design", ["--n", 8], {"interval": [2, 0]}, "key 'interval': --interval endpoints out of order: [2.0, 0.0]"),
-        ("snr-sweep", ["--n-list", 8], {"eps": 0}, "key 'eps': argument --eps: must be above 0, got 0"),
-    ], ids=["design-n", "design-interval", "snr-sweep-eps"])
+        ("snr-sweep", ["--n-list", 8], {"seed": -1}, "key 'seed': argument --seed: must be at least 0, got -1"),
+    ], ids=["design-n", "design-interval", "snr-sweep-seed"])
     def test_option_rules_name_file_and_key(self, tmp_path, capsys, command, argv, values, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -290,7 +292,6 @@ BAD_VALUES = {
     "--basis-index": [[-1]],
     "--log2-length": [[-1]],
     "--seed": [[-1]],
-    "--eps": [[0], ["nan"]],
     "--interval": [[2, 0], ["nan", 1], [0, "inf"]],
     "--eval-interval": [[2, 0], [0, "nan"], [0, "inf"]],
 }
@@ -298,16 +299,21 @@ BAD_VALUES = {
 # command: (an otherwise valid argv, every ruled option the command declares); "DESIGN" is a stored design
 RULED_OPTIONS = {
     "design": (["--n", 8, "--interval", 0, 2],
-               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--eps", "--seed"]),
+               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--seed"]),
     "compare": (["--n", 8, "--interval", 0, 2, "--points", 5],
-                ["--n", "--m", "--interval", "--eval-interval", "--points", "--seed"]),
-    "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points", "--seed"]),
-    "polar": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points", "--seed"]),
-    "snr-sweep": (["--n-list", 8], ["--n-list", "--interval", "--restarts", "--sweeps", "--eps", "--seed"]),
-    "golay-gen": ([], ["--log2-length", "--seed"]),
+                ["--n", "--m", "--interval", "--eval-interval", "--points"]),
+    "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
+    "polar": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
+    "snr-sweep": (["--n-list", 8], ["--n-list", "--interval", "--restarts", "--sweeps", "--seed"]),
+    "golay-gen": (["--log2-length", 2], ["--log2-length"]),
     "repro": (["--label", "t", "--n", 8, "--points", 5, "--n-list", 8, "--restarts", 2, "--sweeps", 3],
-              ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--eps", "--seed"]),
+              ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--seed"]),
 }
+
+# (command, option) pairs the CLI rejects: the hcd step tolerance is fixed, and only the commands that
+# run hcd take a seed
+RETIRED_OPTIONS = [("design", "eps"), ("snr-sweep", "eps"), ("repro", "eps"), ("compare", "seed"),
+                   ("evaluate", "seed"), ("polar", "seed"), ("golay-gen", "seed")]
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +331,24 @@ def test_option_rules_checked_before_any_work(tmp_path, capsys, stored_design, c
     valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
     assert run(command, "--out-dir", tmp_path / "out", *valid, *bad) == 1
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, source", [
+    pytest.param(command, key, source, id=f"{command} {'--' if source == 'flag' else 'key '}{key}")
+    for command, key in RETIRED_OPTIONS
+    for source in ("flag", "config")
+])
+def test_retired_options_rejected_before_any_file(tmp_path, capsys, stored_design, command, key, source):
+    valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
+    if source == "flag":
+        extra, message = [f"--{key}", 1], f"unrecognized arguments: --{key} 1"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        extra, message = ["--config", cfg], f"unknown config key {key!r} for command {command!r}"
+    assert run(command, "--out-dir", tmp_path / "out", *valid, *extra) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -488,11 +512,22 @@ class TestPolarCommand:
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--scattering", 1, 0, 0, "bogus") == 1
 
-    def test_non_integer_sample_lag(self, tmp_path):
+    def test_non_integer_sample_lag(self, tmp_path, capsys):
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--sample", 0.5, 0.0) == 1
+        assert "lag 0.5 is not an integer" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_vv.csv"))
+
+    def test_zero_cross_channel_makes_no_out_dir(self, tmp_path, capsys):
+        # the binomial schedule's f_z vanishes at angle 0, so both cross channels are identically zero there
+        path = tmp_path / "bd.json"
+        binomial_design(16).save(path)
+        assert run("polar", "--out-dir", tmp_path / "out", "--design", path,
+                   "--eval-interval", 0, 0, "--points", 3) == 1
+        assert ("error: vh channel: map peak must be finite and positive for a dB normalization, got 0.0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_reversed_eval_interval_rejected_before_work(self, tmp_path, capsys):
         path = make_design(tmp_path)

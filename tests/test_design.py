@@ -276,16 +276,6 @@ class TestNullSpaceDesign:
         assert np.array_equal(doppler.p, delay.p)
         assert np.array_equal(doppler.w, delay.w)
 
-    def test_basis_index_selects_column(self):
-        first = null_space_design(48, (0.0, 2.0), basis_index=0)
-        second = null_space_design(48, (0.0, 2.0), basis_index=1)
-        assert not np.allclose(first.w, second.w)
-        assert second.residual <= 1e-10
-
-    def test_basis_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            null_space_design(8, (0.0, 2.0), basis_index=50)
-
     def test_too_few_pulses(self):
         with pytest.raises(ValueError):
             null_space_design(1, (0.0, 1.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -221,6 +223,15 @@ class TestOutputMatrix:
             output_matrix(ScatteringMatrix.identity(), amb, 64, angles[0])
         with pytest.raises(ValueError):
             output_matrix(ScatteringMatrix.identity(), amb, 0, -5.0)
+
+    def test_non_integer_lag_rejected(self, channels_02):
+        # a fractional lag is not rounded or truncated onto a neighbouring row
+        angles, amb = channels_02
+        identity = ScatteringMatrix.identity()
+        for lag in (2.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match="is not an integer"):
+                output_matrix(identity, amb, lag, angles[0])
+        assert np.array_equal(output_matrix(identity, amb, 2.0, angles[0]), output_matrix(identity, amb, 2, angles[0]))
 
 
 class TestCrossChannelNulls:
