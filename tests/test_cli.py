@@ -292,6 +292,7 @@ BAD_VALUES = {
     "--basis-index": [[-1]],
     "--log2-length": [[-1]],
     "--seed": [[-1]],
+    "--eps": [[0], ["nan"]],  # retired: the values its old rule refused, now refused as unrecognized
     "--interval": [[2, 0], ["nan", 1], [0, "inf"]],
     "--eval-interval": [[2, 0], [0, "nan"], [0, "inf"]],
 }
@@ -324,13 +325,16 @@ def stored_design(tmp_path_factory):
 @pytest.mark.parametrize("command, bad, flag", [
     pytest.param(command, [flag, *values], flag, id=" ".join(map(str, [command, flag, *values])))
     for command, (_, flags) in RULED_OPTIONS.items()
-    for flag in flags
+    for flag in flags + [f"--{key}" for retired, key in RETIRED_OPTIONS if retired == command and key == "eps"]
     for values in BAD_VALUES[flag]
 ])
 def test_option_rules_checked_before_any_work(tmp_path, capsys, stored_design, command, bad, flag):
     valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
     assert run(command, "--out-dir", tmp_path / "out", *valid, *bad) == 1
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    if flag not in RULED_OPTIONS[command][1]:
+        assert f"unrecognized arguments: {' '.join(map(str, bad))}" in err
     assert not (tmp_path / "out").exists()
 
 
