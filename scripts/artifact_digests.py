@@ -7,7 +7,9 @@
 The sequence covers every subcommand: ``repro`` at reduced sizes and
 at its defaults, ``design`` with each selection method (hcd also on a
 9-wide null space, so the optimizer's multi-dimensional path is covered;
-bs and hcd also with an explicit M, one of them M >= N), a delay design
+bs and hcd also at N = 96, where LAPACK's SVD and the optimizer's block
+products are large enough for OpenBLAS to thread; bs and hcd also with
+an explicit M, one of them M >= N), a delay design
 and one from a config file, ``evaluate`` (bundled and generated pairs, a
 gridless baseline), ``polar`` with sampled output matrices, ``evaluate``
 and ``polar`` on a generated L=4096 pair, ``polar`` on an N=48 [0, 2]
@@ -48,6 +50,9 @@ def sequence(out: Path) -> list:
          "--restarts", "2", "--sweeps", "3", "--out", "hcd.json"],
         ["design", *o, "--n", "40", "--interval", "0", "2", "--optimizer", "hcd", "--restarts", "4",
          "--out", "hcd40.json"],
+        ["design", *o, "--n", "96", "--interval", "0", "2", "--optimizer", "bs", "--out", "bs96.json"],
+        ["design", *o, "--n", "96", "--interval", "0", "2", "--optimizer", "hcd",
+         "--restarts", "2", "--sweeps", "3", "--out", "hcd96.json"],
         ["design", *o, "--n", "12", "--interval", "0", "0.05", "--m", "20", "--optimizer", "bs",
          "--out", "bs_m20.json"],
         ["design", *o, "--n", "10", "--interval", "0", "1.5", "--m", "6", "--optimizer", "hcd",

@@ -18,7 +18,12 @@ so that p * w reproduces z exactly.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +147,59 @@ def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
+@functools.cache
+def _blas_thread_setter():
+    """numpy's bundled OpenBLAS ``openblas_set_num_threads_local`` (returns the previous count), or None.
+
+    Looked up on the first pin, in the ``numpy.libs/libscipy_openblas*.so``
+    numpy has already loaded (never a second copy); None where there is
+    no such library or symbol (MKL, Accelerate, OpenBLAS before 0.3.27).
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then give back the caller's thread count.
+
+    LAPACK's threaded SVD rounds differently from the single-threaded one
+    (from N = 72 on), and the pool's workers spin on a second CPU between
+    calls.  Pinned, every result is the one-thread result whatever the
+    core count.  In numpy's wheels (a
+    pthreads OpenBLAS) the setter changes the count of the whole process,
+    so concurrent pins are counted: the first saves the count, the last
+    restores it.  A no-op where :func:`_blas_thread_setter` finds nothing.
+    """
+    global _pin_depth, _pin_saved
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _pin_lock:
+        if not _pin_depth:
+            _pin_saved = setter(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if not _pin_depth:
+                setter(_pin_saved)
+
+
 # OpenBLAS hands a complex gemv of 4096 or more matrix entries to its thread pool
 _GEMV_ENTRIES = 4096
 
@@ -150,12 +208,12 @@ def _responses(angles: np.ndarray, *vectors) -> list:
     """[E(angles) @ v for each v]: the slow-time responses f_v of equal-length complex ``vectors``.
 
     E is built in balanced row blocks of fewer than 4096 entries, each
-    serving every vector, so each gemv runs on the calling thread and
-    no BLAS worker spins between calls.  The gemv computes an output
-    alike in any block, so f_v is the whole product's bit for bit.  No
-    block has one row unless there is one angle: numpy sends a 1-row
-    product to a dot kernel that rounds differently.  Above N = 1365
-    that 2-row minimum can take a block past the limit.
+    serving every vector: the blocks stay in cache and each gemv stays
+    below OpenBLAS's threading threshold, all under
+    :func:`_one_blas_thread`.  The gemv computes an output alike in any
+    block, so f_v is the whole product's bit for bit.  No block has one
+    row unless there is one angle: numpy sends a 1-row product to a dot
+    kernel that rounds differently.
     """
     angles = np.ravel(angles)
     n, m = vectors[0].size, angles.size
@@ -163,11 +221,12 @@ def _responses(angles: np.ndarray, *vectors) -> list:
     blocks = max(1, min(-(-m // rows), m // 2))
     out = [np.empty(m, dtype=complex) for _ in vectors]
     stop = 0
-    for block in np.array_split(angles, blocks):
-        start, stop = stop, stop + block.size
-        phases = _phase_matrix(block, n)
-        for f, v in zip(out, vectors):
-            f[start:stop] = phases @ v
+    with _one_blas_thread():
+        for block in np.array_split(angles, blocks):
+            start, stop = stop, stop + block.size
+            phases = _phase_matrix(block, n)
+            for f, v in zip(out, vectors):
+                f[start:stop] = phases @ v
     return out
 
 
@@ -176,9 +235,10 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
 
     Columns are the right singular vectors whose singular values fall at
     or below ``max(M, N) * eps * sigma_max``, the LAPACK-style cut every
-    design method uses (the tests pin its margins).  Each column's phase
-    is canonicalized so its largest-magnitude entry is real and positive,
-    making the basis deterministic across runs.
+    design method uses (the tests pin its margins).  The SVD runs under
+    :func:`_one_blas_thread`, so the basis does not depend on the core
+    count.  Each column's phase is canonicalized so its largest-magnitude
+    entry is real and positive, making the basis deterministic across runs.
 
     Raises
     ------
@@ -188,7 +248,8 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
     """
     E = np.atleast_2d(np.asarray(matrix))
     m, n = E.shape
-    _, sv, vh = np.linalg.svd(E)
+    with _one_blas_thread():
+        _, sv, vh = np.linalg.svd(E)
     tol = max(m, n) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int((sv > tol).sum())
     if rank >= n:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import ResilienceGrid, WaveformDesign, design_from_vector
+from .design import ResilienceGrid, WaveformDesign, _one_blas_thread, design_from_vector
 
 __all__ = [
     "snr_ratio",
@@ -146,6 +146,7 @@ class OptimizerReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
+@_one_blas_thread()
 def coordinate_descent(Z: np.ndarray, restarts: int = 20, sweeps: int = 100, seed: int = None) -> OptimizerReport:
     """Restarted fixed-point L1 ascent on g(lambda) over complex lambda.
 
@@ -170,7 +171,9 @@ def coordinate_descent(Z: np.ndarray, restarts: int = 20, sweeps: int = 100, see
     again on Z lambda: that value ends its trace (earlier entries are
     floored at it, which moves only entries within rounding of it), and
     a restart whose mapped-back g is not below its start returns the
-    start.  The winner is the first restart with the lowest g.
+    start.  The winner is the first restart with the lowest g.  The
+    whole call runs with OpenBLAS on the calling thread
+    (:func:`~compwave.design._one_blas_thread`).
     """
     Z = _basis(Z)
     width = Z.shape[1]
@@ -265,6 +268,7 @@ def coordinate_descent(Z: np.ndarray, restarts: int = 20, sweeps: int = 100, see
     )
 
 
+@_one_blas_thread()
 def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesign:
     """Design from the combined null vector Z lambda.
 
@@ -280,6 +284,7 @@ def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesi
     return design_from_vector(Z @ ll, grid)
 
 
+@_one_blas_thread()
 def snr_upper_bound(Z: np.ndarray, v) -> float:
     """Certified upper bound on snr_ratio(Z lambda) over every lambda.
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +23,7 @@ from compwave import (
     null_space_design,
     validate_design,
 )
-from compwave.design import _phase_matrix, _responses
+from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _responses
 
 
 class TestResilienceGrid:
@@ -187,8 +193,8 @@ class TestNullSpaceBasis:
         E = design_matrix(ResilienceGrid.uniform(0.0, 2.0, 47), 48)
         assert np.array_equal(null_space_basis(E), null_space_basis(E))
 
-    # The cut max(M, N) eps sigma_max alone sets U.  Measured (OpenBLAS, numpy 2.4)
-    # sigma / cut for the last kept and the first cut singular value:
+    # The cut max(M, N) eps sigma_max alone sets U.  Measured (OpenBLAS 0.3.31, numpy 2.4, through
+    # the pinned SVD of null_space_basis) sigma / cut for the last kept and the first cut singular value:
     #   N=24 [0,2] U=1 (2.19 / none: U comes from M = N - 1 alone)
     #   N=32 [0,2] U=5 (10.9 / 0.45)      N=40 [0,2] U=9 (7.2 / 0.48)
     #   N=48 [0,2] U=13 (2.60 / 0.22)     N=48 [0,pi] U=6 (7.75 / 0.41)
@@ -202,13 +208,110 @@ class TestNullSpaceBasis:
     def test_rank_cut_margins(self, n, hi, width):
         E = design_matrix(ResilienceGrid.uniform(0.0, hi, n - 1), n)
         assert null_space_basis(E).shape[1] == width
-        sv = np.linalg.svd(E, compute_uv=False)
+        with _one_blas_thread():
+            sv = np.linalg.svd(E)[1]
         ratio = sv / (max(E.shape) * np.finfo(float).eps * sv[0])
         kept, cut = ratio[ratio > 1], ratio[ratio <= 1]
         assert kept.size + width == n
         assert kept[-1] >= 2
         if cut.size:
             assert cut[0] <= 0.9
+
+
+# prints whether the OpenBLAS lookup ran at import, then digests of the N = 96/128 bases and an hcd result
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+import compwave
+from compwave import ResilienceGrid, coordinate_descent, design_matrix, null_space_basis
+print(compwave.design._blas_thread_setter.cache_info().currsize)
+for n in (96, 128):
+    Z = null_space_basis(design_matrix(ResilienceGrid.uniform(0.0, 2.0, n - 1), n))
+    print(n, hashlib.sha256(Z.tobytes()).hexdigest())
+    if n == 96:
+        print(hashlib.sha256(coordinate_descent(Z, restarts=3, seed=0).best_lambda.tobytes()).hexdigest())
+"""
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def count(setter) -> int:
+        """The process's OpenBLAS thread count, read through the setter (which returns the previous count)."""
+        current = setter(1)
+        setter(current)
+        return current
+
+    @pytest.fixture
+    def setter(self):
+        setter = _blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS with openblas_set_num_threads_local")
+        # a caller count of 2 makes the restore visible on a 1-CPU machine too
+        before = setter(2)
+        yield setter
+        setter(before)
+
+    def test_bits_do_not_depend_on_the_thread_count(self):
+        # LAPACK's threaded SVD rounds differently from N = 72 on; pinned, 1 and 2 threads agree
+        src = str(Path(compwave.design.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outs.append(subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                                       text=True, check=True).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[0] == "0"  # not looked up at import
+
+    def test_pin_gives_back_the_callers_count(self, setter):
+        with _one_blas_thread():
+            assert self.count(setter) == 1
+        assert self.count(setter) == 2
+        with pytest.raises(RuntimeError), _one_blas_thread():
+            raise RuntimeError
+        assert self.count(setter) == 2
+
+    def test_overlapping_pins_restore_once(self, setter):
+        # the setter acts on the whole process: the first pin out, while another runs, must not restore
+        entered, leave = threading.Event(), threading.Event()
+
+        def other():
+            with _one_blas_thread():
+                entered.set()
+                leave.wait(10)
+
+        worker = threading.Thread(target=other)
+        with _one_blas_thread():
+            worker.start()
+            assert entered.wait(10)
+        assert self.count(setter) == 1
+        leave.set()
+        worker.join(10)
+        assert not worker.is_alive() and self.count(setter) == 2
+
+    def test_pins_from_many_threads_keep_one_count(self, setter):
+        # more threads than cores, switching often: a lost depth update would let a pin run at the
+        # caller's count, or leave the process at 1 thread
+        seen, start = [], threading.Barrier(8)
+
+        def pinning():
+            start.wait(10)
+            for _ in range(500):
+                with _one_blas_thread():
+                    seen.append(self.count(setter))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pinning) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [1] * 4000 and self.count(setter) == 2
 
 
 class TestExtractDesign:
