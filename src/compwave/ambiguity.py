@@ -50,30 +50,143 @@ __all__ = [
 
 _CELL = "%.17g"  # float CSV cell: 17 significant digits, an exact float64 round trip
 _COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by complex()
+_VARIANTS = {_CELL: [0], _COMPLEX_CELL: [2, 4]}  # 2 x class of each float in a cell: plain, real, imaginary
+_BLOCK = 4096  # floats per formatting block: bounds the working set
+
+# 10^k = hi + lo exactly for k = 0..44 (5^44 < 2^106), hi's Veltkamp halves, and the least double >= 10^x
+_P10_HI = np.array([float(10 ** k) for k in range(45)])
+_P10_LO = np.array([float(10 ** k - int(float(10 ** k))) for k in range(45)])
+_P10_HH = _P10_HI * 134217729.0 - (_P10_HI * 134217729.0 - _P10_HI)
+_P10_HL = _P10_HI - _P10_HH
+_LEAST = np.array([np.nextafter(t, np.inf) if f"{t:.40e}"[0] == "9" else t  # t, the nearest double, is under 10^x
+                   for t in (float(f"1e{x}") for x in range(-28, 18))])
+
+
+def _cell_tables():
+    """The slot templates and digit words of :func:`_format_block`.
+
+    A cell shape is (k = 16 - X, or 45 for 0, 46 for inf; n digits; v = 2 class + sign); its 48 byte slots,
+    at row (17 k + n - 1) 6 + v, are 0 sign | 1-5 "0.000" | 6 + 2i digit i, 7 + 2i a "." after it | 40-43
+    "e-XX" or "inf" | 44-45 separator, each holding its character, 0xFF for a printed digit, or 0.
+    """
+    k, n, v = (a.ravel() for a in np.meshgrid(np.arange(47), np.arange(1, 18), np.arange(6), indexing="ij"))
+    x, chars = 16 - k, lambda text: np.frombuffer(text, np.uint8)
+    fixed, sci = (k < 45) & (x >= -4), (k < 45) & (x < -4)
+    whole = fixed & (x >= 0)  # integer digits are printed even when zero
+    shown = np.where(k == 45, 1, np.where(whole, np.maximum(n, x + 1), n) * (k < 45))
+    dot = np.where(whole & (n > x + 1), x, np.where(sci & (n > 1), 0, -1))
+    s = np.zeros((k.size, 48), np.uint8)
+    s[:, 0] = np.select([v % 2 == 1, v // 2 == 2], [ord("-"), ord("+")])
+    s[:, 1:6] = np.where(fixed[:, None] & (x[:, None] < 0) & (np.arange(5) < 1 - x[:, None]), chars(b"0.000"), 0)
+    s[:, 6:40:2] = (np.arange(17) < shown[:, None]) * np.uint8(0xFF)
+    s[:, 7:41:2] = (np.arange(17) == dot[:, None]) * np.uint8(ord("."))
+    exponent = np.stack([np.full_like(x, ord("e")), np.full_like(x, ord("-")), 48 + -x // 10, 48 + -x % 10], 1)
+    s[:, 40:44] = np.where(sci[:, None], exponent, np.where((k == 46)[:, None], chars(b"inf\0"), 0))
+    s[:, 44:46] = chars(b",\0\0\0j,").reshape(3, 2)[v // 2]
+    q = np.arange(10000, dtype=np.uint16)
+    quads = np.repeat(q[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48, 2, 1)  # in even bytes of 8
+    quads = np.where(np.arange(8) % 2, 0xFF, quads).astype(np.uint8).view(np.uint64).ravel()
+    first = (np.uint64(2 ** 64 - 1) & ~np.uint64(0xFF << 48)) | (np.arange(10, dtype=np.uint64) + 48 << np.uint64(48))
+    zeros = np.sum([q % 10 ** j == 0 for j in (1, 2, 3)], axis=0)  # trailing zeros of a group of 4
+    # significant digits of D when group c is its last nonzero one (1 for a zero group)
+    significant = [np.where(q == 0, 1, 4 * c + 5 - zeros).astype(np.uint8) for c in range(4)]
+    return s.view(np.uint64), (s != 0).sum(1), quads, first, significant
+
+
+_SLOTS, _LENGTHS, _QUADS, _FIRST, _SIGNIFICANT = _cell_tables()
+
+
+def _format_block(v: np.ndarray, variants: np.ndarray, last: bool):
+    """(text bytes, text length per row, rows left to the % template) of the 2-D float64 block ``v``.
+
+    Each float is ``%.17g`` plus its column's variant (separator; forced sign and "j" for an imaginary
+    part); a ``last`` block ends its rows with "\n".  For |v| in [1e-28, 1e17), D = round(|v| 10^k) with
+    k = 16 - X exact (checked against the least double >= 10^X); the product is exact for k <= 22, so
+    ties go half-even as in Gay's dtoa, and within 1e-14 for k > 22, so a fraction that close to 1/2
+    is left to the template.  So are nan ("nan" whatever its sign) and other cells out of range but 0, inf.
+    """
+    a = np.abs(v).ravel()
+    c = np.fmin(np.fmax(a, _LEAST[0]), np.nextafter(_LEAST[-1], 0))
+    special = np.flatnonzero(a != c)
+    a = a[special]
+    i = np.clip(np.floor(np.log10(c)), -28, 16).astype(np.intp) + 28
+    k = 44 - i + (c < _LEAST.take(i)) - (c >= _LEAST.take(i + 1))
+    p = c * _P10_HI.take(k)  # p + e = c hi exactly (Dekker)
+    ch = c * 134217729.0
+    ch -= ch - c  # Veltkamp split: c = ch + cl, each half fits 26 bits
+    cl = c - ch
+    hh, hl = _P10_HH.take(k), _P10_HL.take(k)
+    e = ch * hh - p + ch * hl + cl * hh + cl * hl + c * _P10_LO.take(k)  # in Dekker's order; exact but for c lo
+    r = np.rint(e)
+    unsure = (np.abs(e - r) > 0.5 - 1e-14) & (k > 22)
+    D = p.astype(np.int64) + r.astype(np.int64)  # p >= 2^53 is even: half-even on e is half-even on D
+    del c, i, p, ch, cl, hh, hl, e, r
+    top = np.flatnonzero(D == 10 ** 17)
+    D[top], k[top] = 10 ** 16, k[top] - 1
+    if special.size:
+        D[special], k[special] = 0, np.where(a == 0, 45, 46)
+        unsure[special] = (a != 0) & (a != np.inf)
+    first, D = np.divmod(D, 10 ** 16)
+    quads = [group for half in np.divmod(D, 10 ** 8) for group in np.divmod(half, 10 ** 4)]  # 4 digits each
+    del D
+    n = np.maximum.reduce([table.take(q) for table, q in zip(_SIGNIFICANT, quads)])
+    key = k * 102 + n * 6 + (np.signbit(v) + variants).ravel() - 6
+    slots = _SLOTS.take(key, axis=0)
+    slots[:, 0] &= _FIRST.take(first)
+    for j, q in enumerate(quads, 1):
+        slots[:, j] &= _QUADS.take(q)
+    del k, n, quads, first
+    slots = slots.view(np.uint8).reshape(*v.shape, 48)
+    if last:
+        slots[:, -1, 44 + (variants[-1] == 4)] = ord("\n")
+    lengths = _LENGTHS.take(key).reshape(v.shape).sum(1)
+    slots = slots.tobytes()
+    return slots.translate(None, b"\0"), lengths, unsure.reshape(v.shape).any(1)
+
+
+def _printf_row(row: np.ndarray, cell_fmt: str) -> bytes:
+    """The float64 ``row`` printed by ``%`` with ``cell_fmt`` repeated across it, then "\n": the cells' definition."""
+    return (",".join([cell_fmt] * (row.size // cell_fmt.count("%"))) % tuple(row.tolist()) + "\n").encode()
 
 
 def _row_texts(rows: np.ndarray, cell_fmt: str, texts: dict = None) -> list:
-    """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it.
+    """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it, as bytes ending in "\n".
 
-    A row's text is looked up in, or added to, the memo ``texts`` (a
-    fresh one by default) under ``(cell_fmt, row bytes)``: bytes, not
-    float equality, since 0.0 and -0.0 print differently.
+    With a memo ``texts``, a row's text is looked up in, or added to, it
+    under ``(cell_fmt, row bytes)``: bytes, not float equality, since 0.0
+    and -0.0 print differently.  Rows are formatted in blocks of whole
+    rows (of row pieces, for rows longer than a block): :func:`_format_block`.
     """
-    texts = {} if texts is None else texts
-    template = ",".join([cell_fmt] * (rows.shape[1] // cell_fmt.count("%")))
-    out = []
-    for row in rows:
-        key = (cell_fmt, row.tobytes())
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = template % tuple(row.tolist())
-        out.append(text)
+    if texts is not None:
+        keys = [(cell_fmt, row.tobytes()) for row in rows]
+        todo = {key: i for i, key in enumerate(keys) if key not in texts}
+        new = rows if len(todo) == len(rows) else rows[list(todo.values())]
+        texts.update(zip(todo, _row_texts(new, cell_fmt)))
+        return [texts[key] for key in keys]
+    width = rows.shape[1]
+    if not width:
+        return [b"\n"] * len(rows)
+    span = min(width, _BLOCK)
+    step = _BLOCK // span
+    variants = np.tile(np.array(_VARIANTS[cell_fmt], dtype=np.intp), width // len(_VARIANTS[cell_fmt]))
+    out, unsure = [], np.zeros(len(rows), bool)
+    for r0 in range(0, len(rows), step):
+        parts = []
+        for c0 in range(0, width, span):
+            text, lengths, bad = _format_block(rows[r0:r0 + step, c0:c0 + span], variants[c0:c0 + span],
+                                               c0 + span >= width)
+            ends = np.cumsum(lengths).tolist()
+            parts.append([text[start:end] for start, end in zip([0] + ends, ends)])
+            unsure[r0:r0 + step] |= bad
+        out += parts[0] if len(parts) == 1 else map(b"".join, zip(*parts))
+    for i in np.flatnonzero(unsure):
+        out[i] = _printf_row(rows[i], cell_fmt)
     return out
 
 
-def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None,
+def _write_matrix_csv(path, header: bytes, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None,
                       texts: dict = None) -> None:
-    """Write ``header``, then one line per entry of ``index`` (default: each row in order).
+    """Write the line ``header``, then one line per entry of ``index`` (default: each row in order).
 
     A line is the row of the 2-D float64 array ``rows`` that its entry
     names, printed with ``cell_fmt`` repeated across the row (it may take
@@ -84,12 +197,14 @@ def _write_matrix_csv(path, header: str, rows: np.ndarray, cell_fmt: str = _CELL
     """
     lines = _row_texts(rows, cell_fmt, texts)
     order = range(len(lines)) if index is None else index.tolist()
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header)
         if lags is None:
-            fh.writelines(f"{lines[r]}\n" for r in order)
+            fh.write(b"".join([lines[r] for r in order]))
         else:
-            fh.writelines(f"{lag},{lines[r]}\n" for lag, r in zip(lags, order))
+            for lag, r in zip(lags, order):
+                fh.write(b"%d," % lag)
+                fh.write(lines[r])
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -131,8 +246,9 @@ class AmbiguityMap:
     """Sampled map A(k, theta): rows are lags -(L-1)..L-1, columns angles.
 
     Stored factored: the distinct lag rows ``values`` and, for every lag
-    k, the ``index[k]`` of its row (see the module docstring); every row
-    must be used by some lag.  ``index=None`` makes each row its own lag,
+    k, the ``index[k]`` of its row (see the module docstring); an
+    ``index`` that is not 1-D integer, names a row that does not exist or
+    leaves a row unused is a ``ValueError``.  ``index=None`` makes each row its own lag,
     so ``AmbiguityMap(values=..., angles=...)`` wraps a dense array.
     ``peak``, ``mainlobe``, the sidelobe quantities, :meth:`metadata` and
     the CSV writers work on the rows.  ``values`` gathers the dense lag x
@@ -148,6 +264,10 @@ class AmbiguityMap:
             raise ValueError("lag axis must have odd length 2L-1")
         if rows.shape[1] != ang.size:
             raise ValueError("angle axis does not match the number of columns")
+        if index is not None and not (self._index.ndim == 1 and self._index.dtype.kind in "iu"
+                                      and 0 <= self._index.min() <= self._index.max() < len(rows)
+                                      and np.bincount(self._index.astype(np.intp), minlength=len(rows)).all()):
+            raise ValueError(f"index must be 1-D integers using each of the {len(rows)} rows of values, and no other")
         rows.setflags(write=False)
         ang.setflags(write=False)
         self._rows, self._values = rows, rows if index is None else None
@@ -245,7 +365,7 @@ class AmbiguityMap:
         ``texts``, a dict the caller passes to several :meth:`to_csv` and
         :meth:`db_to_csv` writes on any maps, memoizes row text: a row, the
         angle header included, is formatted once across all of them, keyed
-        on its bytes.  Without it, each write memoizes its own rows.
+        on its bytes.  Without it, each write formats each of its rows.
         """
         self._write_csv(path, np.ascontiguousarray(self._rows).view(float), _COMPLEX_CELL, texts)
 
@@ -260,7 +380,7 @@ class AmbiguityMap:
         self._write_csv(path, self._db_rows(reference), _CELL, texts)
 
     def _write_csv(self, path, rows, cell_fmt, texts) -> None:
-        header = "lag," + _row_texts(self.angles[None], _CELL, texts)[0]
+        header = b"lag," + _row_texts(self.angles[None], _CELL, texts)[0]
         _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=texts)
 
     def save_metadata(self, path) -> None:
@@ -388,7 +508,7 @@ def write_columns_csv(path, labels, columns) -> None:
     cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
     if len({c.size for c in cols}) > 1 or len(cols) != len(labels):
         raise ValueError("column length mismatch: need equal-length columns, one per label")
-    _write_matrix_csv(path, ",".join(labels), np.column_stack(cols))
+    _write_matrix_csv(path, (",".join(labels) + "\n").encode(), np.column_stack(cols))
 
 
 def write_two_column_csv(path, first, second, labels=("angle", "value")) -> None:

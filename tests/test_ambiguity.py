@@ -8,19 +8,27 @@ from hypothesis import strategies as st
 
 from compwave import (
     AmbiguityMap,
+    ResilienceGrid,
+    basis_selection,
+    binomial_design,
     closed_form_ambiguity,
     delay_ambiguity,
+    design_from_vector,
+    design_matrix,
     discrete_ambiguity,
     evaluation_grid,
     as_biphase,
     generate_golay_pair,
     is_golay_pair,
+    null_space_basis,
     polarimetric_ambiguities,
     sidelobe_metrics,
     slow_time_response,
     write_columns_csv,
     write_two_column_csv,
 )
+from compwave import ambiguity
+from compwave.ambiguity import _BLOCK
 from compwave.design import _phase_matrix
 
 
@@ -217,6 +225,26 @@ class TestAmbiguityMap:
         with pytest.raises(ValueError):
             AmbiguityMap(values=np.zeros((3, 2)), angles=[0.0])
 
+    def test_index_leaving_a_row_unused_is_rejected(self):
+        # every cell of this map is 1.0, yet its peak would read the unused row's 5.0
+        with pytest.raises(ValueError, match="each of the 2 rows"):
+            AmbiguityMap(values=[[1.0], [5.0]], angles=[0.0], index=[0, 0, 0])
+
+    @pytest.mark.parametrize("index", [[0, 1, 2], [-1, 0, 1]])
+    def test_index_past_the_rows_is_rejected(self, index):
+        with pytest.raises(ValueError, match="each of the 2 rows"):
+            AmbiguityMap(values=[[1.0], [5.0]], angles=[0.0], index=index)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_any_integer_index_is_accepted(self, dtype):
+        amap = AmbiguityMap(values=[[1.0], [5.0]], angles=[0.0], index=np.array([0, 1, 0], dtype))
+        assert amap.peak == 5.0 and np.array_equal(amap.values, [[1.0], [5.0], [1.0]])
+
+    @pytest.mark.parametrize("index", [[0.0, 1.0, 0.0], [[0, 1, 0]]])
+    def test_non_integer_index_is_rejected(self, index):
+        with pytest.raises(ValueError, match="1-D integers"):
+            AmbiguityMap(values=[[1.0], [5.0]], angles=[0.0], index=index)
+
     def test_index_lookup(self):
         amap = self._small_map()
         assert amap.lag_index(0) == 1
@@ -389,6 +417,37 @@ def repeated_row_maps(draw):
     return AmbiguityMap(values=values, angles=angles)
 
 
+# Cells for the block formatter's digits, |v| in [1e-28, 1e17): powers of ten and their neighbouring
+# doubles (the notation switches at 1e-5/1e-4 and 1e16 among them), exact 18-digit ties (odd m / 4
+# or 8 near 2^50, small m 2^-24), +-0 and +-inf; and, at most one per row, a cell outside that range
+# (1e17, 3-digit exponents, -nan), which sends its row to the % template.
+POWERS = np.array([float(f"1e{x}") for x in range(-30, 21)])
+NEAR_POWERS = np.concatenate([POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf)])
+INSIDE = NEAR_POWERS[(NEAR_POWERS >= 1e-28) & (NEAR_POWERS < 1e17)]
+INSIDE = np.concatenate([INSIDE, -INSIDE, [0.0, -0.0, np.inf, -np.inf]])
+OUTSIDE = np.concatenate([NEAR_POWERS[(NEAR_POWERS < 1e-28) | (NEAR_POWERS >= 1e17)],
+                          [1.5e-100, -2.5e123, 7e-101, -np.nan]])
+fast_cells = st.one_of(
+    st.sampled_from(INSIDE.tolist()),
+    st.tuples(st.floats(1.0, 10.0), st.integers(-28, 16), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[2] * t[0] * 10.0 ** t[1]),
+    st.tuples(st.integers(2 ** 49, 2 ** 52 - 1), st.sampled_from([4.0, 8.0])).map(lambda t: (2 * t[0] + 1) / t[1]),
+    st.integers(1, 64).map(lambda m: m * 2.0 ** -24),
+)
+
+
+@st.composite
+def fast_path_rows(draw):
+    """Three rows of an even number of cells, some rows longer than one formatting block."""
+    width = 2 * draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(st.lists(fast_cells, min_size=width, max_size=width), min_size=3, max_size=3)))
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, 2)), draw(st.integers(0, width - 1))] = draw(st.sampled_from(OUTSIDE.tolist()))
+    if draw(st.booleans()):
+        rows = np.tile(rows, _BLOCK // width + 1)
+    return rows
+
+
 EDGE_MAP = AmbiguityMap(
     values=np.array([[0.0, complex(-0.0, 5e-324)],
                      [complex(np.inf, -0.0), complex(np.nan, 1.0)],
@@ -441,6 +500,65 @@ class TestCsvOracle:
                         amap.db_to_csv(out / "db.csv", texts=texts)
                         expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / mag.max()), ref_float)
                         assert (out / "db.csv").read_text() == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=fast_path_rows())
+    def test_block_formatter_matches_per_cell_reference(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("block")
+        labels = [f"c{i}" for i in range(rows.shape[1])]
+        write_columns_csv(out / "cols.csv", labels, rows.T)
+        expected = [",".join(labels)] + [",".join(ref_float(v) for v in row) for row in rows]
+        assert (out / "cols.csv").read_text() == "\n".join(expected) + "\n"
+        amap = AmbiguityMap(values=rows.view(complex), angles=rows[0, ::2])
+        amap.to_csv(out / "map.csv")
+        assert (out / "map.csv").read_text() == ref_map_csv(amap.angles, amap.values, ref_complex)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_does_not_rest_on_log10(self, tmp_path, monkeypatch, shift):
+        # a log10 off by half a decade gives an exponent estimate one too small or too large for
+        # half of the cells; the check against the least double >= 10^X must correct each of them
+        cells = np.concatenate([INSIDE, 10.0 ** np.linspace(-28, 16.9, 301)])
+        log10 = np.log10
+        monkeypatch.setattr(ambiguity.np, "log10", lambda x: log10(x) + shift)
+        write_columns_csv(tmp_path / "cols.csv", ["v"], [cells])
+        monkeypatch.undo()
+        assert (tmp_path / "cols.csv").read_text() == "v\n" + "".join(ref_float(v) + "\n" for v in cells)
+
+    def test_near_ties_of_inexact_products_go_to_the_template(self, tmp_path, monkeypatch):
+        # doubles a with a 10^k within 2^-52 of a half-integer, k > 22: m 5^k = 2^(s-1) + d (mod 2^s)
+        cells = []
+        for k in (23, 24, 26, 30, 36, 44):
+            for s in (52, 53):
+                for d in (1, -1, 3, -3, 7):
+                    m = (2 ** (s - 1) + d) * pow(5 ** k, -1, 2 ** s) % 2 ** s
+                    if m < 2 ** 53 and 10 ** 16 <= m * 5 ** k / 2 ** s < 10 ** 17:
+                        cells.append(m * 2.0 ** -(s + k))
+        assert len(cells) >= 5
+        printed = []
+        printf_row = ambiguity._printf_row
+
+        def counted(row, cell_fmt):
+            printed.append(row)
+            return printf_row(row, cell_fmt)
+
+        monkeypatch.setattr(ambiguity, "_printf_row", counted)
+        write_columns_csv(tmp_path / "cols.csv", ["v"], [cells])
+        assert (tmp_path / "cols.csv").read_text() == "v\n" + "".join(ref_float(v) + "\n" for v in cells)
+        assert len(printed) == len(cells)
+
+    def test_paper_scale_maps_never_take_the_printf_path(self, tmp_path, monkeypatch, pair64, design_02, design_0pi):
+        def refuse(row, cell_fmt):
+            raise AssertionError(f"a row left to the % template: {row[:4]}")
+
+        grid = ResilienceGrid.uniform(0.0, 2.0, 47)
+        bs = design_from_vector(basis_selection(null_space_basis(design_matrix(grid, 48))), grid)
+        designs = [(design_02, 2.0), (design_0pi, np.pi), (bs, 2.0), (binomial_design(48), np.pi)]
+        monkeypatch.setattr(ambiguity, "_printf_row", refuse)
+        for pair in (pair64, generate_golay_pair(8)):
+            for design, hi in designs:
+                amap = discrete_ambiguity(pair, design.p, design.w, evaluation_grid(0.0, hi, 2001))
+                amap.to_csv(tmp_path / "map.csv")
+                amap.db_to_csv(tmp_path / "db.csv")
 
     def test_shared_memo_keys_on_the_cell_format(self, tmp_path):
         # a dB map over 2A angles whose rows have the bytes of a complex map's rows over A angles
