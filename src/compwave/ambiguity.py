@@ -18,21 +18,19 @@ A map therefore depends on the lag only through the integer pair
 row per distinct pair plus each lag's index into those rows: at L = 4096
 134 rows serve 8191 lags.  Peaks, sidelobe metrics and the CSV writers
 read the rows.  The dense lag x angle array, (2L-1) x angles complex
-cells, is built only when ``values``, ``magnitude`` or ``db`` is read,
-bit-identical to a dense evaluation.
+cells, is built only when ``values`` or ``db`` is read, bit-identical
+to a dense evaluation.
 
 Angles are dimensionless phase increments per pulse (radians).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .design import _responses, _schedule_weights, evaluation_grid
-from .golay import _biphase_pair, _correlate
+from .design import _integer, _responses, _schedule_weights, evaluation_grid
+from .golay import _biphase_pair, _correlate, _write_json
 
 __all__ = [
     "slow_time_response",
@@ -224,11 +222,18 @@ def _grid_index(angles: np.ndarray, angle: float) -> int:
 
 def _lag_position(length: int, lag) -> int:
     """Row position of ``lag`` on the axis -(L-1)..L-1; ValueError unless an integer (3.0 is one) on it."""
-    if not float(lag).is_integer():
-        raise ValueError(f"lag {lag} is not an integer")
-    if not -(length - 1) <= lag <= length - 1:
+    k = _integer(lag, "lag")
+    if not -(length - 1) <= k <= length - 1:
         raise ValueError(f"lag {lag} outside [-{length - 1}, {length - 1}]")
-    return int(lag) + length - 1
+    return k + length - 1
+
+
+def _db_peak(ref, source: str = "reference peak") -> float:
+    """``ref`` as the float a dB normalization divides by; ValueError unless finite and positive."""
+    ref = float(ref)
+    if not (np.isfinite(ref) and ref > 0):
+        raise ValueError(f"{source} must be finite and positive for a dB normalization, got {ref}")
+    return ref
 
 
 def _lag_rows(*columns):
@@ -252,8 +257,8 @@ class AmbiguityMap:
     so ``AmbiguityMap(values=..., angles=...)`` wraps a dense array.
     ``peak``, ``mainlobe``, the sidelobe quantities, :meth:`metadata` and
     the CSV writers work on the rows.  ``values`` gathers the dense lag x
-    angle array on first read and keeps it; ``magnitude`` and ``db``
-    gather a new one on each read.
+    angle array on first read and keeps it; ``db`` gathers a new one on
+    each read.
     """
 
     def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
@@ -291,10 +296,6 @@ class AmbiguityMap:
         return np.arange(-(L - 1), L)
 
     @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self._rows)[self._index]
-
-    @property
     def peak(self) -> float:
         return float(np.abs(self._rows).max())
 
@@ -320,11 +321,7 @@ class AmbiguityMap:
 
     def _db_reference(self, reference: float = None) -> float:
         """The dB normalization: ``reference``, else the map's own peak; ValueError unless finite and positive."""
-        ref = self.peak if reference is None else float(reference)
-        if not (np.isfinite(ref) and ref > 0):
-            source = "map peak" if reference is None else "reference peak"
-            raise ValueError(f"{source} must be finite and positive for a dB normalization, got {ref}")
-        return ref
+        return _db_peak(self.peak, "map peak") if reference is None else _db_peak(reference)
 
     def _db_rows(self, reference: float = None) -> np.ndarray:
         """20 log10(|row| / reference) per distinct row; the map's own peak by default."""
@@ -384,7 +381,7 @@ class AmbiguityMap:
         _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=texts)
 
     def save_metadata(self, path) -> None:
-        Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
+        _write_json(path, self.metadata())
 
 
 def _two_terms(pair, p, w, angles):
@@ -466,15 +463,13 @@ class SidelobeMetrics:
     """Per-angle mainlobe profile and peak-to-reference sidelobe levels.
 
     ``prsl_db`` compares the worst nonzero-lag magnitude at each angle to
-    a fixed reference peak (the map's own mainlobe maximum unless one is
-    supplied); ``relative_prsl_db`` normalizes per angle by |A(0, theta)|
-    instead, so it can reach +inf where the mainlobe vanishes.
+    a fixed reference peak: the map's own mainlobe maximum unless one is
+    supplied.
     """
 
     angles: np.ndarray
     profile: np.ndarray
     prsl_db: np.ndarray
-    relative_prsl_db: np.ndarray
     reference_peak: float
 
     def profile_to_csv(self, path) -> None:
@@ -485,22 +480,16 @@ class SidelobeMetrics:
 
 
 def sidelobe_metrics(amap: AmbiguityMap, reference_peak: float = None) -> SidelobeMetrics:
-    """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map and a length-1 pair's map."""
+    """Sidelobe metrics of a map, from its distinct rows; rejects the all-zero map, a length-1 pair's map
+    and a supplied ``reference_peak`` that is not finite and positive (the default, the mainlobe maximum, may be 0)."""
     if not amap._rows.any():
         raise ValueError("all-zero map has no sidelobe metrics")
     profile = np.abs(amap.mainlobe)
     side = amap.sidelobe_peaks()
-    ref = float(profile.max()) if reference_peak is None else float(reference_peak)
+    ref = float(profile.max()) if reference_peak is None else _db_peak(reference_peak)
     with np.errstate(divide="ignore", invalid="ignore"):
         prsl = 20.0 * np.log10(side / ref)
-        relative = 20.0 * np.log10(side / profile)
-    return SidelobeMetrics(
-        angles=amap.angles,
-        profile=profile,
-        prsl_db=prsl,
-        relative_prsl_db=relative,
-        reference_peak=ref,
-    )
+    return SidelobeMetrics(angles=amap.angles, profile=profile, prsl_db=prsl, reference_peak=ref)
 
 
 def write_columns_csv(path, labels, columns) -> None:

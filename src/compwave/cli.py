@@ -19,7 +19,6 @@ taken from $COMPWAVE_OUT_DIR when --out-dir is absent.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -46,7 +45,7 @@ from .design import (
     null_space_design,
     validate_design,
 )
-from .golay import GolayPair, generate_golay_pair, length64_pair
+from .golay import GolayPair, _read_json, _write_json, generate_golay_pair, length64_pair
 from .polarimetric import ScatteringMatrix, output_matrix, polarimetric_ambiguities
 from .snropt import basis_selection, coordinate_descent, design_from_lambda, snr_ratio
 
@@ -185,17 +184,14 @@ def _config_argv(parser, argv: list, args: argparse.Namespace) -> list:
     that starts with "-" is not read as an option; a list fills a multi-value option as separate
     tokens, ``sample`` takes a list of [lag, angle] pairs, and null keeps the default.
     """
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed config file {args.config}: {exc}") from exc
+    cfg = _read_json(args.config, "config", lambda data: data)
     if not isinstance(cfg, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
     tokens = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config", "func") or not hasattr(args, dest):
-            raise CliError(f"unknown config key {key!r} for command {args.command!r}")
+            raise CliError(f"{args.config}: unknown config key {key!r} for command {args.command!r}")
         if value is None:
             continue
         flags = []
@@ -274,7 +270,7 @@ def cmd_design(args) -> None:
     print(f"wrote {path}")
     report = validate_design(design)
     report_path = path.with_name(path.stem + "_report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(report_path, report.to_dict())
     print(f"wrote {report_path}")
     if not report.ok:
         raise CliError(
@@ -405,7 +401,7 @@ def cmd_polar(args) -> None:
             "U": [[[float(c.real), float(c.imag)] for c in row] for row in u],
         })
     sample_path = out / f"{prefix}_u_samples.json"
-    sample_path.write_text(json.dumps(samples, indent=2) + "\n")
+    _write_json(sample_path, samples)
     print(f"wrote {sample_path}")
 
 
@@ -478,7 +474,7 @@ def cmd_repro(args) -> None:
     for tag, (vh, reference) in cross.items():
         emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference, texts=texts)
 
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(out / "manifest.json", manifest)
     print(f"wrote {out / 'manifest.json'}")
     if sweep_failure:
         raise sweep_failure

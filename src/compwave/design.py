@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .golay import as_biphase
+from .golay import _read_json, _write_json, as_biphase
 
 __all__ = [
     "EmptyNullSpaceError",
@@ -74,12 +73,7 @@ class ResilienceGrid:
             raise ValueError("a resilience grid needs at least one angle")
         if self.kind not in GRID_KINDS:
             raise ValueError(f"kind must be one of {GRID_KINDS}, got {self.kind!r}")
-        interval = self.interval
-        if interval is None:
-            interval = (float(ang[0]), float(ang[-1]))
-        lo, hi = float(interval[0]), float(interval[1])
-        if not lo <= hi:
-            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        lo, hi = _interval(*((ang[0], ang[-1]) if self.interval is None else self.interval))
         if ang[0] < lo - 1e-12 or ang[-1] > hi + 1e-12:
             raise ValueError("grid angles fall outside the stated interval")
         ang.setflags(write=False)
@@ -101,17 +95,31 @@ def evaluation_grid(lo: float, hi: float, count: int = 2001) -> np.ndarray:
     """``count`` evenly spaced angles over [lo, hi] inclusive, for maps and design grids alike.
 
     ``count`` = 1 gives the single angle lo.  ValueError when ``count`` is
-    below 1, an endpoint or the width hi - lo is infinite, or the
-    endpoints are out of order (lo > hi, or a nan).
+    not an integer (3.0 is one) or is below 1, or [lo, hi] breaks the
+    rule of :func:`_interval`.
     """
+    lo, hi = _interval(lo, hi)
+    count = _integer(count, "count")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return np.linspace(lo, hi, count)
+
+
+def _interval(lo, hi) -> tuple:
+    """(lo, hi) as floats; ValueError when they are out of order (lo > hi, or a nan) or an endpoint or the width is infinite."""
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
     if not np.isfinite([lo, hi, hi - lo]).all():
         raise ValueError(f"interval endpoints and width must be finite: [{lo}, {hi}]")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return np.linspace(lo, hi, int(count))
+    return lo, hi
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer (3.0 is one; 2.5, nan and inf are not)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} {value} is not an integer")
+    return int(value)
 
 
 def design_matrix(grid, n_pulses: int) -> np.ndarray:
@@ -346,7 +354,7 @@ class WaveformDesign:
         return out
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        _write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "WaveformDesign":
@@ -360,21 +368,14 @@ class WaveformDesign:
                 if data.get("angles") is not None:
                     grid = ResilienceGrid(data["angles"], kind=kind, interval=(lo, hi))
                 else:
-                    grid = ResilienceGrid.uniform(lo, hi, int(data["M"]), kind=kind)
+                    grid = ResilienceGrid.uniform(lo, hi, data["M"], kind=kind)
             return cls(p=p, w=w, grid=grid, residual=data.get("residual"), scheme=data.get("scheme"))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed design payload: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "WaveformDesign":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed design file {path}: {exc}") from exc
-        try:
-            return cls.from_dict(data)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return _read_json(path, "design", cls.from_dict)
 
 
 def design_from_vector(zhat: np.ndarray, grid: ResilienceGrid) -> WaveformDesign:
@@ -389,7 +390,7 @@ def _null_space(n_pulses: int, interval, constraints, kind: str):
     :func:`null_space_basis` of their phase matrix, for every grid-based design method."""
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
-    m = n_pulses - 1 if constraints is None else int(constraints)
+    m = n_pulses - 1 if constraints is None else constraints
     if m < 1:
         raise ValueError("need at least one constraint angle")
     grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)

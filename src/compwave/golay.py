@@ -63,8 +63,7 @@ class CorrelationProfile:
     """Aperiodic correlation values indexed by lag.
 
     ``values[i]`` holds the correlation at lag ``lags[i]``; lags run
-    -(L-1) .. L-1 in ascending order.  Indexing by lag is supported
-    directly: ``profile[0]`` is the zero-lag value.
+    -(L-1) .. L-1 in ascending order.
     """
 
     values: np.ndarray
@@ -86,12 +85,6 @@ class CorrelationProfile:
     def lags(self) -> np.ndarray:
         L = self.length
         return np.arange(-(L - 1), L)
-
-    def __getitem__(self, lag: int):
-        L = self.length
-        if not -(L - 1) <= lag <= L - 1:
-            raise IndexError(f"lag {lag} outside [-{L - 1}, {L - 1}]")
-        return self.values[lag + L - 1]
 
 
 def _biphase_pair(a, b):
@@ -167,18 +160,11 @@ class GolayPair:
         return iter((self.x, self.y))
 
     def save(self, path) -> None:
-        payload = {"x": self.x.tolist(), "y": self.y.tolist()}
-        Path(path).write_text(json.dumps(payload) + "\n")
+        _write_json(path, {"x": self.x.tolist(), "y": self.y.tolist()}, indent=None)
 
     @classmethod
     def load(cls, path) -> "GolayPair":
-        try:
-            data = json.loads(Path(path).read_text())
-            return cls(x=data["x"], y=data["y"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed pair file {path}: {exc}") from exc
-        except ValueError as exc:  # not biphase, or not complementary
-            raise ValueError(f"{path}: {exc}") from exc
+        return _read_json(path, "pair", lambda data: cls(x=data["x"], y=data["y"]))
 
 
 def generate_golay_pair(log2_length: int) -> GolayPair:
@@ -211,16 +197,30 @@ def length64_pair() -> GolayPair:
 
 def save_sequence(path, s) -> None:
     """Write a biphase sequence as a JSON array of +1/-1 integers."""
-    Path(path).write_text(json.dumps(as_biphase(s).tolist()) + "\n")
+    _write_json(path, as_biphase(s).tolist(), indent=None)
 
 
 def load_sequence(path) -> np.ndarray:
     """Read a JSON array of +1/-1 integers back into an int64 array."""
+    return _read_json(path, "sequence", as_biphase)
+
+
+def _write_json(path, data, indent=2) -> None:
+    """Write ``data`` as JSON (``indent=None``: on one line) and a final newline: every JSON file the package writes."""
+    Path(path).write_text(json.dumps(data, indent=indent) + "\n")
+
+
+def _read_json(path, what: str, build):
+    """``build(data)`` of the JSON ``data`` in ``path``: every JSON file the package reads.
+
+    ValueError naming the file: ``malformed {what} file {path}: ...`` when
+    it is not UTF-8 JSON or ``build`` finds a key or type missing
+    (KeyError, TypeError), ``{path}: ...`` for any other ValueError of
+    ``build`` (content it rejects).
+    """
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed sequence file {path}: {exc}") from exc
-    try:
-        return as_biphase(data)
-    except ValueError as exc:  # not a 1-D +1/-1 sequence
+        return build(json.loads(Path(path).read_text()))
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

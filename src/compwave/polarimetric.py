@@ -25,7 +25,7 @@ Each channel is stored factored like the single-antenna map (see
 distinct (C_x + C_y, C_x - C_y) pair, VH and HV hold one row per
 distinct value of C_xy and C_yx.  :func:`output_matrix` reads single
 cells from those rows; a channel's dense array is built only when its
-``values``, ``magnitude`` or ``db`` is read.
+``values`` or ``db`` is read.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguityMap, _lag_rows, _two_terms
-from .design import _NULL_TOL, _constraint_angles, _responses, _schedule_weights
+from .design import _NULL_TOL, WaveformDesign, _constraint_angles, _responses
 from .golay import _correlate
 
 __all__ = [
@@ -60,10 +60,6 @@ class ScatteringMatrix:
         return np.array(
             [[complex(self.h_vv), complex(self.h_vh)], [complex(self.h_hv), complex(self.h_hh)]]
         )
-
-    @classmethod
-    def identity(cls) -> "ScatteringMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def from_matrix(cls, mat) -> "ScatteringMatrix":
@@ -139,10 +135,10 @@ def cross_channel_nulls(p, w, grid):
     design solves, with the same 1e-10 bound.  The residual is
     max_m |f_z(theta_m)| / ||p*w||_2, with f_z from one
     :func:`~compwave.design._responses` pass (``grid``: a grid or bare
-    angles).
+    angles).  (p, w) must make a :class:`~compwave.design.WaveformDesign`:
+    an all-zero or non-finite ``w`` has no relative residual (ValueError).
     """
-    pp, ww = _schedule_weights(p, w)
-    z = pp * ww
+    z = WaveformDesign(p, w).z
     (fz,) = _responses(_constraint_angles(grid, z.size), z)
     residual = float(np.abs(fz).max() / np.linalg.norm(z))
     return residual <= _NULL_TOL, residual

@@ -37,14 +37,13 @@ found one.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .design import ResilienceGrid, WaveformDesign, _one_blas_thread, design_from_vector
+from .golay import _write_json
 
 __all__ = [
     "snr_ratio",
@@ -143,7 +142,7 @@ class OptimizerReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        _write_json(path, self.to_dict())
 
 
 @_one_blas_thread()

@@ -21,6 +21,7 @@ from compwave import (
     generate_golay_pair,
     is_golay_pair,
     null_space_basis,
+    null_space_design,
     polarimetric_ambiguities,
     sidelobe_metrics,
     slow_time_response,
@@ -75,11 +76,18 @@ class TestEvaluationGrid:
         assert grid.size == 2001 and grid[0] == 0.0 and grid[-1] == 2.0
 
     def test_single_point(self):
-        assert evaluation_grid(0.4, 9.9, 1).tolist() == [0.4]
+        assert evaluation_grid(0.4, 9.9, 1).tolist() == evaluation_grid(0.4, 9.9, 1.0).tolist() == [0.4]
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            evaluation_grid(0.0, 1.0, 0)
+        # a count below 1, and a count or constraint number that is not an integer (refused, not truncated)
+        for build in (lambda: evaluation_grid(0.0, 1.0, 0),
+                      lambda: evaluation_grid(0.0, 1.0, 2.5),
+                      lambda: evaluation_grid(0.0, 1.0, float("nan")),
+                      lambda: evaluation_grid(0.0, 1.0, float("inf")),
+                      lambda: ResilienceGrid.uniform(0.0, 2.0, 3.7),
+                      lambda: null_space_design(8, (0.0, 2.0), constraints=3.9)):
+            with pytest.raises(ValueError, match="count must be at least 1|is not an integer"):
+                build()
 
     @pytest.mark.parametrize("lo, hi, count", [(2, 0, 5), (2, 0, 1), (0, float("nan"), 5)])
     def test_rejects_reversed_endpoints(self, lo, hi, count):
@@ -90,8 +98,11 @@ class TestEvaluationGrid:
     @pytest.mark.parametrize("lo, hi", [(0, float("inf")), (-float("inf"), 0), (-float("inf"), float("inf")),
                                         (-1e308, 1e308)])
     def test_rejects_infinite_endpoints(self, lo, hi):
-        with pytest.raises(ValueError, match="must be finite"):
-            evaluation_grid(lo, hi, 3)
+        # a constraint grid's interval, stated or taken from its angles, too
+        for build in (lambda: evaluation_grid(lo, hi, 3), lambda: ResilienceGrid(angles=[0.0], interval=(lo, hi)),
+                      lambda: ResilienceGrid(angles=[lo, hi])):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
 
 
 class TestDiscreteAmbiguity:
@@ -268,7 +279,6 @@ class TestSidelobeMetrics:
         metrics = sidelobe_metrics(discrete_ambiguity(pair64, [1], [1.0], angles))
         expected = 20 * np.log10(13 / 64)
         assert np.allclose(metrics.prsl_db, expected)
-        assert np.allclose(metrics.relative_prsl_db, expected)
 
     def test_reference_peak_shifts_scale(self, pair64, design_02):
         angles = evaluation_grid(0.0, 2.0, 101)
@@ -277,12 +287,11 @@ class TestSidelobeMetrics:
         halved = sidelobe_metrics(amap, reference_peak=own.reference_peak / 2)
         assert np.allclose(halved.prsl_db - own.prsl_db, 20 * np.log10(2))
 
-    def test_vanishing_mainlobe_gives_inf(self):
-        # w sums to zero, so A(0, 0) cancels exactly while f_z(0) does not
-        metrics = sidelobe_metrics(
-            discrete_ambiguity(([1, 1], [1, -1]), [1, -1], [1.0, -1.0], [0.0])
-        )
-        assert np.isposinf(metrics.relative_prsl_db[0])
+    @pytest.mark.parametrize("reference", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_unusable_reference_peak(self, pair64, design_02, reference):
+        amap = discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 11))
+        with pytest.raises(ValueError, match="reference peak must be finite and positive"):
+            sidelobe_metrics(amap, reference_peak=reference)
 
     def test_profile_magnitudes(self, pair64, design_02):
         angles = evaluation_grid(0.0, 2.0, 51)
@@ -659,18 +668,18 @@ def dense_quantities(values) -> dict:
         profile, peaks = mag[L - 1], side()
         ref = profile.max()
         with np.errstate(divide="ignore", invalid="ignore"):
-            return profile, 20.0 * np.log10(peaks / ref), 20.0 * np.log10(peaks / profile), np.float64(ref)
+            return profile, 20.0 * np.log10(peaks / ref), np.float64(ref)
 
-    return {"values": lambda: values, "magnitude": lambda: mag, "db": db, "peak": lambda: mag.max(),
+    return {"values": lambda: values, "db": db, "peak": lambda: mag.max(),
             "mainlobe": lambda: values[L - 1], "sidelobe_peaks": side, "sidelobe_metrics": metrics}
 
 
 def map_quantities(amap) -> dict:
     def metrics():
         m = sidelobe_metrics(amap)
-        return m.profile, m.prsl_db, m.relative_prsl_db, np.float64(m.reference_peak)
+        return m.profile, m.prsl_db, np.float64(m.reference_peak)
 
-    return {"values": lambda: amap.values, "magnitude": lambda: amap.magnitude, "db": lambda: amap.db,
+    return {"values": lambda: amap.values, "db": lambda: amap.db,
             "peak": lambda: np.float64(amap.peak), "mainlobe": lambda: amap.mainlobe,
             "sidelobe_peaks": amap.sidelobe_peaks, "sidelobe_metrics": metrics}
 

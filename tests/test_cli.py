@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from compwave import (
     design_matrix,
     evaluation_grid,
     is_golay_pair,
+    load_sequence,
     null_space_basis,
     output_matrix,
     polarimetric_ambiguities,
@@ -281,6 +283,31 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
 
+# JSON loader -> (its load, None for the CLI's --config; a file of JSON that it refuses)
+LOADERS = {
+    "design": (WaveformDesign.load, {"p": [1, -1], "w": [[0, 0], [0, 0]]}),
+    "pair": (GolayPair.load, {"x": [1, 1], "y": [1, 1]}),
+    "sequence": (load_sequence, [1, 2]),
+    "config": (None, {"bogus": 1}),
+}
+BAD_JSON = {"not-json": b"{not json", "undecodable": b"\xff\xfe{}", "wrong-shape": b'"text"', "invalid": None}
+
+
+@pytest.mark.parametrize("bad", BAD_JSON)
+@pytest.mark.parametrize("loader", LOADERS)
+def test_bad_json_files_named_in_the_error(tmp_path, capsys, loader, bad):
+    load, invalid = LOADERS[loader]
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_JSON[bad] or json.dumps(invalid).encode())
+    if load is None:
+        assert run("design", "--out-dir", tmp_path / "out", "--config", path, "--n", 8, "--interval", 0, 2) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load(path)
+
+
 # Each option's value rule, as bad values: one at the rule's boundary, plus nan where it must fail too.
 BAD_VALUES = {
     "--n": [[1]],
@@ -468,7 +495,7 @@ class TestPolarCommand:
         assert [s["lag"] for s in samples] == [0, 3]
         design = WaveformDesign.load(path)
         amb = polarimetric_ambiguities(pair64, design.p, design.w, evaluation_grid(0, 2, 9))
-        expected = output_matrix(ScatteringMatrix.identity(), amb, 3, 1.0)
+        expected = output_matrix(ScatteringMatrix(1, 0, 0, 1), amb, 3, 1.0)
         got = np.array([[complex(re, im) for re, im in row] for row in samples[1]["U"]])
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 

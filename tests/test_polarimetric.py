@@ -181,9 +181,6 @@ class TestChannelMaps:
 
 
 class TestScatteringMatrix:
-    def test_identity(self):
-        assert np.array_equal(ScatteringMatrix.identity().matrix, np.eye(2))
-
     def test_round_trip(self):
         mat = np.array([[1.0, 2.0j], [0.5 - 1j, -3.0]])
         assert np.array_equal(ScatteringMatrix.from_matrix(mat).matrix, mat)
@@ -196,7 +193,7 @@ class TestScatteringMatrix:
 class TestOutputMatrix:
     def test_identity_target_at_origin(self, channels_02, pair64, design_02):
         angles, amb = channels_02
-        u = output_matrix(ScatteringMatrix.identity(), amb, 0, angles[0])
+        u = output_matrix(ScatteringMatrix(1, 0, 0, 1), amb, 0, angles[0])
         gain = 64 * slow_time_response(design_02.w, [angles[0]])[0]
         assert u[0, 0] == pytest.approx(gain, rel=1e-12)
         assert u[1, 1] == pytest.approx(gain, rel=1e-12)
@@ -220,14 +217,14 @@ class TestOutputMatrix:
     def test_off_grid_points_rejected(self, channels_02):
         angles, amb = channels_02
         with pytest.raises(ValueError):
-            output_matrix(ScatteringMatrix.identity(), amb, 64, angles[0])
+            output_matrix(ScatteringMatrix(1, 0, 0, 1), amb, 64, angles[0])
         with pytest.raises(ValueError):
-            output_matrix(ScatteringMatrix.identity(), amb, 0, -5.0)
+            output_matrix(ScatteringMatrix(1, 0, 0, 1), amb, 0, -5.0)
 
     def test_non_integer_lag_rejected(self, channels_02):
         # a fractional lag is not rounded or truncated onto a neighbouring row
         angles, amb = channels_02
-        identity = ScatteringMatrix.identity()
+        identity = ScatteringMatrix(1, 0, 0, 1)
         for lag in (2.5, -0.5, math.nan):
             with pytest.raises(ValueError, match="is not an integer"):
                 output_matrix(identity, amb, lag, angles[0])
@@ -257,3 +254,11 @@ class TestCrossChannelNulls:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cross_channel_nulls([1, -1], [1.0], [0.0])
+
+    # the relative residual max|f_z| / ||p*w|| would be 0/0, or nan
+    @pytest.mark.parametrize("w, message", [(np.zeros(3), "all-zero weight vector"),
+                                            ([1.0, np.nan, 1.0], "weights must be finite"),
+                                            ([1.0, np.inf, 1.0], "weights must be finite")])
+    def test_unusable_weights(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            cross_channel_nulls([1, -1, 1], w, [0.0, 1.0])
