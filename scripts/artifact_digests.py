@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def sequence(out: Path) -> list:
     """The CLI argv lists, in order; later commands read files earlier ones wrote."""
     (out / "config.json").write_text(json.dumps(
-        {"n": 10, "interval": [0, 1.5], "m": 7, "basis_index": 1, "out": "cfg.json"}))
+        {"n": 10, "interval": [0, 1.5], "m": 7, "out": "cfg.json"}))
     o = ["--out-dir", str(out)]
     return [
         ["repro", *o, "--n", "16", "--points", "101", "--n-list", "8", "16",

@@ -11,10 +11,11 @@ golay-gen   generate a complementary pair of length 2^m
 repro       run the full experiment pipeline into one directory
 
 Options can also come from a JSON config file (--config), parsed as flags
-given before the command line's, which win.  The default output directory is
-taken from $COMPWAVE_OUT_DIR when --out-dir is absent.  Exit codes:
-0 success, 1 validation error, 2 numerical failure (empty null space),
-3 I/O failure.
+given before the command line's, which win.  Files go to --out-dir, else
+$COMPWAVE_OUT_DIR, else the current directory; the directory is made by the
+first write, after every check, and each file is announced by one
+"wrote <path>" line.  Exit codes: 0 success, 1 validation error,
+2 numerical failure (empty null space), 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -129,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(1), help="constraint angles (default: N-1)")
     p.add_argument("--kind", choices=("doppler", "delay"), default="doppler")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="first-basis")
-    p.add_argument("--basis-index", type=_int_at_least(0), default=0, help="basis column for first-basis")
     p.add_argument("--out", default="design.json", help="design file name")
     p.set_defaults(func=cmd_design)
 
@@ -213,11 +213,21 @@ def _require(args, *names) -> None:
             raise CliError(f"missing required option --{name} (flag or config file)")
 
 
-def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get(ENV_OUT_DIR) or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Outputs:
+    """The one output path: ``outputs(name, write, *extra, **options)`` makes ``root`` on the first call, runs
+    ``write(root / name, *extra, **options)``, prints ``wrote <path>``, records ``name`` and returns the result."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.names = []
+
+    def __call__(self, name, write, *extra, **options):
+        if not self.names:
+            self.root.mkdir(parents=True, exist_ok=True)
+        result = write(self.root / name, *extra, **options)
+        self.names.append(name)
+        print(f"wrote {self.root / name}")
+        return result
 
 
 def _resolve_pair(args) -> GolayPair:
@@ -235,7 +245,7 @@ def _resolve_pair(args) -> GolayPair:
     return generate_golay_pair(length.bit_length() - 1)
 
 
-def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0, space=None):
+def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", space=None):
     """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report).
 
     ``space`` is the (grid, basis) of ``_null_space(n, interval, m, kind)`` when the caller already has it.
@@ -244,9 +254,7 @@ def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis
         return binomial_design(n), None
     grid, basis = space or _null_space(n, interval, m, kind)
     if method == "first-basis":
-        if basis_index >= basis.shape[1]:
-            raise ValueError(f"basis_index {basis_index} outside 0..{basis.shape[1] - 1}")
-        return design_from_vector(basis[:, basis_index], grid), None
+        return design_from_vector(basis[:, 0], grid), None
     if method == "bs":
         return design_from_vector(basis_selection(basis), grid), None
     report = coordinate_descent(basis, restarts=args.restarts, sweeps=args.sweeps, seed=args.seed)
@@ -262,25 +270,20 @@ def _eval_angles(args, design: WaveformDesign) -> np.ndarray:
     return evaluation_grid(interval[0], interval[1], args.points)
 
 
-def cmd_design(args) -> None:
+def cmd_design(args, outputs) -> None:
     _require(args, "n", "interval")
-    design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer, args.basis_index)
-    path = _out_dir(args) / args.out
-    design.save(path)
-    print(f"wrote {path}")
+    design, optimizer = _build_design(args, args.n, args.interval, args.m, args.kind, args.optimizer)
+    out = Path(args.out)
+    outputs(out, design.save)
     report = validate_design(design)
-    report_path = path.with_name(path.stem + "_report.json")
-    _write_json(report_path, report.to_dict())
-    print(f"wrote {report_path}")
+    outputs(out.with_name(out.stem + "_report.json"), _write_json, report.to_dict())
     if not report.ok:
         raise CliError(
             f"design violates usability conditions: nullspace residual "
             f"{report.nullspace_residual:.3e}, mainlobe residual {report.mainlobe_residual:.3e}"
         )
     if optimizer is not None:
-        opt_path = path.with_name(path.stem + "_optimizer.json")
-        optimizer.save(opt_path)
-        print(f"wrote {opt_path}")
+        outputs(out.with_name(out.stem + "_optimizer.json"), optimizer.save)
     print(f"snr_ratio {snr_ratio(design.w):.6f}  residual {design.residual:.3e}")
 
 
@@ -294,11 +297,10 @@ def _load_design(args):
     return design, kind, _resolve_pair(args), _eval_angles(args, design)
 
 
-def cmd_evaluate(args) -> None:
+def cmd_evaluate(args, outputs) -> None:
     design, kind, pair, angles = _load_design(args)
     amap = discrete_ambiguity(pair, design.p, design.w, angles, kind=kind)
     metrics = sidelobe_metrics(amap)
-    out = _out_dir(args)
     prefix = args.prefix or Path(args.design).stem
     texts = {}  # row-text memo of this command's map CSVs
     for suffix, write in (
@@ -308,15 +310,13 @@ def cmd_evaluate(args) -> None:
         ("profile.csv", metrics.profile_to_csv),
         ("prsl.csv", metrics.prsl_to_csv),
     ):
-        path = out / f"{prefix}_{suffix}"
-        write(path)
-        print(f"wrote {path}")
+        outputs(f"{prefix}_{suffix}", write)
     finite = metrics.prsl_db[np.isfinite(metrics.prsl_db)]
     if finite.size:
         print(f"prsl_db min {finite.min():.2f}  max {finite.max():.2f}")
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args, outputs) -> None:
     _require(args, "n", "interval")
     pair = _resolve_pair(args)
     ns = null_space_design(args.n, tuple(args.interval), constraints=args.m)
@@ -324,13 +324,11 @@ def cmd_compare(args) -> None:
     angles = _eval_angles(args, ns)
     metrics = {name: sidelobe_metrics(discrete_ambiguity(pair, design.p, design.w, angles))
                for name, design in designs.items()}
-    out = _out_dir(args)
     for name, design in designs.items():
-        design.save(out / f"{args.prefix}_{name}.json")
+        outputs(f"{args.prefix}_{name}.json", design.save)
     for stem, field in (("prsl", "prsl_db"), ("profile", "profile")):
-        path = out / f"{args.prefix}_{stem}.csv"
-        write_columns_csv(path, ["angle", *metrics], [angles, *(getattr(m, field) for m in metrics.values())])
-        print(f"wrote {path}")
+        outputs(f"{args.prefix}_{stem}.csv", write_columns_csv,
+                ["angle", *metrics], [angles, *(getattr(m, field) for m in metrics.values())])
 
 
 def _write_sweep(path: Path, args, n_list, methods, interval):
@@ -361,15 +359,13 @@ def _write_sweep(path: Path, args, n_list, methods, interval):
         return EmptyNullSpaceError(message) if numerical else CliError(message)
 
 
-def cmd_snr_sweep(args) -> None:
-    path = _out_dir(args) / args.out
-    failure = _write_sweep(path, args, args.n_list, args.optimizers, tuple(args.interval))
-    print(f"wrote {path}")
+def cmd_snr_sweep(args, outputs) -> None:
+    failure = outputs(args.out, _write_sweep, args, args.n_list, args.optimizers, tuple(args.interval))
     if failure:
         raise failure
 
 
-def cmd_polar(args) -> None:
+def cmd_polar(args, outputs) -> None:
     design, kind, pair, angles = _load_design(args)
     prefix = args.prefix or (Path(args.design).stem + "_polar")
     scattering = ScatteringMatrix(*args.scattering)
@@ -385,13 +381,11 @@ def cmd_polar(args) -> None:
             channel._db_reference()
         except ValueError as exc:
             raise CliError(f"{name} channel: {exc}") from exc
-    out = _out_dir(args)
     texts = {}  # row-text memo shared by the channels, which share most rows bit for bit
     for name, channel in amb.channels.items():
-        channel.to_csv(out / f"{prefix}_{name}.csv", texts=texts)
-        channel.db_to_csv(out / f"{prefix}_{name}_db.csv", texts=texts)
-        channel.save_metadata(out / f"{prefix}_{name}_meta.json")
-        print(f"wrote {out / f'{prefix}_{name}.csv'} (+db, +meta)")
+        outputs(f"{prefix}_{name}.csv", channel.to_csv, texts=texts)
+        outputs(f"{prefix}_{name}_db.csv", channel.db_to_csv, texts=texts)
+        outputs(f"{prefix}_{name}_meta.json", channel.save_metadata)
     samples = []
     for lag, angle in points:
         u = output_matrix(scattering, amb, lag, angle)
@@ -400,35 +394,20 @@ def cmd_polar(args) -> None:
             "angle": angle,
             "U": [[[float(c.real), float(c.imag)] for c in row] for row in u],
         })
-    sample_path = out / f"{prefix}_u_samples.json"
-    _write_json(sample_path, samples)
-    print(f"wrote {sample_path}")
+    outputs(f"{prefix}_u_samples.json", _write_json, samples)
 
 
-def cmd_golay_gen(args) -> None:
+def cmd_golay_gen(args, outputs) -> None:
     _require(args, "log2-length")
-    out = _out_dir(args)
-    pair = generate_golay_pair(args.log2_length)
-    path = out / args.out
-    pair.save(path)
-    print(f"wrote {path} (length {pair.length})")
+    outputs(args.out, generate_golay_pair(args.log2_length).save)
 
 
-def cmd_repro(args) -> None:
+def cmd_repro(args, outputs) -> None:
     """The full pipeline: designs, maps, baselines, SNR sweep, polarimetry."""
     label = args.label or time.strftime("%Y%m%d-%H%M%S")
-    out = _out_dir(args) / f"repro-{label}"
-    out.mkdir(parents=True, exist_ok=True)
+    emit = _Outputs(outputs.root / f"repro-{label}")
     n = args.n
     pair = length64_pair()
-    manifest = {"n": n, "points": args.points, "seed": args.seed, "outputs": []}
-
-    def emit(name, write, *extra, **options):
-        """Write one artifact with ``write(path, *extra, **options)``, record it, and return what ``write`` returns."""
-        result = write(out / name, *extra, **options)
-        manifest["outputs"].append(name)
-        print(f"wrote {out / name}")
-        return result
 
     # interval-limited design and its schedule/weight profiles
     interval_design = null_space_design(n, (0.0, 2.0))
@@ -474,8 +453,7 @@ def cmd_repro(args) -> None:
     for tag, (vh, reference) in cross.items():
         emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference, texts=texts)
 
-    _write_json(out / "manifest.json", manifest)
-    print(f"wrote {out / 'manifest.json'}")
+    emit("manifest.json", _write_json, {"n": n, "points": args.points, "seed": args.seed, "outputs": list(emit.names)})
     if sweep_failure:
         raise sweep_failure
 
@@ -487,7 +465,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_config_argv(parser, argv, args))
-        args.func(args)
+        args.func(args, _Outputs(args.out_dir or os.environ.get(ENV_OUT_DIR) or "."))
         return 0
     except EmptyNullSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

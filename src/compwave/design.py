@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -216,9 +217,9 @@ def _responses(angles: np.ndarray, *vectors) -> list:
     """[E(angles) @ v for each v]: the slow-time responses f_v of equal-length complex ``vectors``.
 
     E is built in balanced row blocks of fewer than 4096 entries, each
-    serving every vector: the blocks stay in cache and each gemv stays
-    below OpenBLAS's threading threshold, all under
-    :func:`_one_blas_thread`.  The gemv computes an output alike in any
+    serving every vector, all under :func:`_one_blas_thread`: each gemv
+    stays below OpenBLAS's threading threshold, the one thread guard
+    where the pin is a no-op.  The gemv computes an output alike in any
     block, so f_v is the whole product's bit for bit.  No block has one
     row unless there is one angle: numpy sends a 1-row product to a dot
     kernel that rounds differently.
@@ -320,6 +321,12 @@ class WaveformDesign:
             raise ValueError("all-zero weight vector")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
+        if self.residual is not None:
+            if not isinstance(self.residual, numbers.Real) or not np.isfinite(self.residual):
+                raise ValueError(f"residual must be null or a finite number, got {self.residual!r}")
+            object.__setattr__(self, "residual", float(self.residual))
+        if self.scheme is not None and not isinstance(self.scheme, str):
+            raise ValueError(f"scheme must be null or a string, got {self.scheme!r}")
         p.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -360,12 +367,16 @@ class WaveformDesign:
     def from_dict(cls, data: dict) -> "WaveformDesign":
         try:
             p = data["p"]
+            if data.get("N", len(p)) != len(p):
+                raise ValueError(f"N = {data['N']} but p has {len(p)} entries")
             w = np.array([complex(re, im) for re, im in data["w"]])
             grid = None
             if data.get("interval") is not None:
                 lo, hi = data["interval"]
                 kind = data.get("kind") or "doppler"
                 if data.get("angles") is not None:
+                    if data.get("M", len(data["angles"])) != len(data["angles"]):
+                        raise ValueError(f"M = {data['M']} but angles has {len(data['angles'])} entries")
                     grid = ResilienceGrid(data["angles"], kind=kind, interval=(lo, hi))
                 else:
                     grid = ResilienceGrid.uniform(lo, hi, data["M"], kind=kind)

@@ -43,10 +43,10 @@ def force_failed_cell(monkeypatch, error, cell):
     """Make the CLI's design builder raise ``error`` for one ``(n, method)`` cell."""
     build = compwave.cli._build_design
 
-    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", basis_index=0, space=None):
+    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", space=None):
         if (n, method) == cell:
             raise error("forced failure")
-        return build(args, n, interval, m, kind, method, basis_index, space)
+        return build(args, n, interval, m, kind, method, space)
 
     monkeypatch.setattr(compwave.cli, "_build_design", failing)
 
@@ -73,12 +73,6 @@ class TestDesignCommand:
     def test_bs_optimizer(self, tmp_path):
         path = make_design(tmp_path, n=8, optimizer="bs", out="bs.json")
         assert WaveformDesign.load(path).residual <= 1e-10
-
-    def test_basis_index(self, tmp_path):
-        a = make_design(tmp_path, n=12, m=8, out="a.json")
-        b = make_design(tmp_path, n=12, m=8, basis_index=1, out="b.json")
-        wa, wb = WaveformDesign.load(a).w, WaveformDesign.load(b).w
-        assert not np.allclose(np.abs(wa), np.abs(wb))
 
     def test_overconstrained_is_numerical_failure(self, tmp_path):
         assert run("design", "--out-dir", tmp_path, "--n", 4,
@@ -316,7 +310,7 @@ BAD_VALUES = {
     "--points": [[0]],
     "--restarts": [[0]],
     "--sweeps": [[0]],
-    "--basis-index": [[-1]],
+    "--basis-index": [[-1]],  # retired, like --eps
     "--log2-length": [[-1]],
     "--seed": [[-1]],
     "--eps": [[0], ["nan"]],  # retired: the values its old rule refused, now refused as unrecognized
@@ -327,7 +321,7 @@ BAD_VALUES = {
 # command: (an otherwise valid argv, every ruled option the command declares); "DESIGN" is a stored design
 RULED_OPTIONS = {
     "design": (["--n", 8, "--interval", 0, 2],
-               ["--n", "--m", "--basis-index", "--interval", "--restarts", "--sweeps", "--seed"]),
+               ["--n", "--m", "--interval", "--restarts", "--sweeps", "--seed"]),
     "compare": (["--n", 8, "--interval", 0, 2, "--points", 5],
                 ["--n", "--m", "--interval", "--eval-interval", "--points"]),
     "evaluate": (["--design", "DESIGN", "--points", 5], ["--eval-interval", "--points"]),
@@ -338,10 +332,10 @@ RULED_OPTIONS = {
               ["--n", "--points", "--n-list", "--restarts", "--sweeps", "--seed"]),
 }
 
-# (command, option) pairs the CLI rejects: the hcd step tolerance is fixed, and only the commands that
-# run hcd take a seed
-RETIRED_OPTIONS = [("design", "eps"), ("snr-sweep", "eps"), ("repro", "eps"), ("compare", "seed"),
-                   ("evaluate", "seed"), ("polar", "seed"), ("golay-gen", "seed")]
+# (command, option) pairs the CLI rejects: the hcd step tolerance is fixed, first-basis always takes the
+# basis's column 0 (any other column is LAPACK's arbitrary pick), and only the commands that run hcd take a seed
+RETIRED_OPTIONS = [("design", "eps"), ("snr-sweep", "eps"), ("repro", "eps"), ("design", "basis-index"),
+                   ("compare", "seed"), ("evaluate", "seed"), ("polar", "seed"), ("golay-gen", "seed")]
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +346,8 @@ def stored_design(tmp_path_factory):
 @pytest.mark.parametrize("command, bad, flag", [
     pytest.param(command, [flag, *values], flag, id=" ".join(map(str, [command, flag, *values])))
     for command, (_, flags) in RULED_OPTIONS.items()
-    for flag in flags + [f"--{key}" for retired, key in RETIRED_OPTIONS if retired == command and key == "eps"]
+    for flag in flags + [f"--{key}" for retired, key in RETIRED_OPTIONS
+                         if retired == command and key in ("eps", "basis-index")]
     for values in BAD_VALUES[flag]
 ])
 def test_option_rules_checked_before_any_work(tmp_path, capsys, stored_design, command, bad, flag):
@@ -381,6 +376,24 @@ def test_retired_options_rejected_before_any_file(tmp_path, capsys, stored_desig
     assert run(command, "--out-dir", tmp_path / "out", *valid, *extra) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# extra flags so that each command writes every kind of file it can
+ANNOUNCED_EXTRA = {"design": ["--optimizer", "hcd", "--restarts", 2, "--sweeps", 3], "polar": ["--sample", 0, 0.0]}
+
+
+@pytest.mark.parametrize("command", RULED_OPTIONS)
+def test_every_file_announced_once(tmp_path, capsys, stored_design, command):
+    valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
+    out = tmp_path / "out"
+    assert run(command, "--out-dir", out, *valid, *ANNOUNCED_EXTRA.get(command, [])) == 0
+    wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    files = [str(path) for path in out.rglob("*") if path.is_file()]
+    assert files and sorted(wrote) == sorted(files)
+    if command == "repro":
+        run_dir = out / "repro-t"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"] + ["manifest.json"]) == sorted(p.name for p in run_dir.iterdir())
 
 
 @pytest.mark.parametrize("command", ["evaluate", "polar"])

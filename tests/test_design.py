@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -427,8 +429,6 @@ class TestWaveformDesign:
         assert np.array_equal(loaded.w, bd.w)
 
     def test_json_fields(self, tmp_path, design_02):
-        import json
-
         path = tmp_path / "design.json"
         design_02.save(path)
         data = json.loads(path.read_text())
@@ -440,8 +440,6 @@ class TestWaveformDesign:
         assert len(data["w"]) == 48 and len(data["w"][0]) == 2
 
     def test_uniform_grid_stores_no_angles(self, tmp_path, design_02):
-        import json
-
         path = tmp_path / "design.json"
         design_02.save(path)
         assert "angles" not in json.loads(path.read_text())
@@ -461,6 +459,21 @@ class TestWaveformDesign:
         data.pop("angles", None)
         loaded = WaveformDesign.from_dict(data)
         assert np.array_equal(loaded.grid.angles, design_02.grid.angles)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"N": 5}, "N = 5 but p has 2 entries"),
+        ({"angles": [0.0, 0.5, 1.0]}, "M = 1 but angles has 3 entries"),
+        ({"residual": "tiny"}, "residual must be null or a finite number, got 'tiny'"),
+        ({"residual": float("nan")}, "residual must be null or a finite number, got nan"),
+        ({"scheme": 7}, "scheme must be null or a string, got 7"),
+    ], ids=["N", "M", "residual-text", "residual-nan", "scheme"])
+    def test_file_fields_checked_on_load(self, tmp_path, fields, message):
+        data = {"N": 2, "interval": [0, 1], "M": 1, "p": [1, -1], "w": [[1, 0], [1, 0]], "residual": 0.5}
+        assert WaveformDesign.from_dict(data).residual == 0.5
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({**data, **fields}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            WaveformDesign.load(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
