@@ -211,6 +211,14 @@ def slow_time_response(coeffs, angles) -> np.ndarray:
     return _responses(np.asarray(angles, dtype=float), v)[0]
 
 
+def _angle_axis(angles) -> np.ndarray:
+    """``angles`` as a 1-D float array (a scalar is one angle); ValueError for any other shape."""
+    ang = np.atleast_1d(np.asarray(angles, dtype=float))
+    if ang.ndim != 1:
+        raise ValueError(f"angles must be 1-D, got shape {ang.shape}")
+    return ang
+
+
 def _grid_index(angles: np.ndarray, angle: float) -> int:
     """Index of ``angle`` on an evaluation grid; ValueError when it is off the grid."""
     idx = int(np.argmin(np.abs(angles - angle)))
@@ -263,7 +271,7 @@ class AmbiguityMap:
 
     def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
         rows = np.atleast_2d(np.asarray(values, dtype=complex))
-        ang = np.atleast_1d(np.asarray(angles, dtype=float))
+        ang = _angle_axis(angles)
         self._index = np.arange(rows.shape[0]) if index is None else np.asarray(index)
         if self._index.size % 2 == 0:
             raise ValueError("lag axis must have odd length 2L-1")
@@ -393,13 +401,13 @@ def _two_terms(pair, p, w, angles):
     odd = 1/2 d f_z(theta); ``sums`` holds s per row, and lag k uses row
     ``index[k]``.  A row takes the same IEEE operations as the dense outer
     product at each of its lags, so gathering reproduces that array bit
-    for bit.  f_w and f_z are two mat-vecs per phase block of one
+    for bit.  f_w and f_z are two mat-vecs on the one phase matrix of a
     :func:`_responses` pass; a single matmul over both may round
     differently.
     """
+    ang = _angle_axis(angles)
     x, y = _biphase_pair(*pair)
     pp, ww = _schedule_weights(p, w)
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
     fw, fz = _responses(ang, ww, pp * ww)
     cx = _correlate(x, x)
     cy = _correlate(y, y)

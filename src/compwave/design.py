@@ -128,8 +128,7 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
 
     ``grid`` may be a :class:`ResilienceGrid` or a bare array of angles.
     N < 2 is rejected: a single pulse admits no nontrivial schedule.
-    The library forms E whole only for :func:`null_space_basis`; its
-    products E @ v run through :func:`_responses`.
+    The library's products E @ v run through :func:`_responses`.
     """
     return _phase_matrix(_constraint_angles(grid, n_pulses), n_pulses)
 
@@ -209,34 +208,16 @@ def _one_blas_thread():
                 setter(_pin_saved)
 
 
-# OpenBLAS hands a complex gemv of 4096 or more matrix entries to its thread pool
-_GEMV_ENTRIES = 4096
-
-
 def _responses(angles: np.ndarray, *vectors) -> list:
     """[E(angles) @ v for each v]: the slow-time responses f_v of equal-length complex ``vectors``.
 
-    E is built in balanced row blocks of fewer than 4096 entries, each
-    serving every vector, all under :func:`_one_blas_thread`: each gemv
-    stays below OpenBLAS's threading threshold, the one thread guard
-    where the pin is a no-op.  The gemv computes an output alike in any
-    block, so f_v is the whole product's bit for bit.  No block has one
-    row unless there is one angle: numpy sends a 1-row product to a dot
-    kernel that rounds differently.
+    One phase matrix serves every vector, and the products run under
+    :func:`_one_blas_thread`.  A gemv's bits do not depend on OpenBLAS's
+    thread count, so f_v is the same where the pin is a no-op.
     """
-    angles = np.ravel(angles)
-    n, m = vectors[0].size, angles.size
-    rows = max(1, (_GEMV_ENTRIES - 1) // max(1, n))
-    blocks = max(1, min(-(-m // rows), m // 2))
-    out = [np.empty(m, dtype=complex) for _ in vectors]
-    stop = 0
     with _one_blas_thread():
-        for block in np.array_split(angles, blocks):
-            start, stop = stop, stop + block.size
-            phases = _phase_matrix(block, n)
-            for f, v in zip(out, vectors):
-                f[start:stop] = phases @ v
-    return out
+        phases = _phase_matrix(np.ravel(angles), vectors[0].size)
+        return [phases @ v for v in vectors]
 
 
 def null_space_basis(matrix: np.ndarray) -> np.ndarray:

@@ -48,12 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Per-target scattering coefficients h_vv, h_vh, h_hv, h_hh."""
+    """Per-target scattering coefficients h_vv, h_vh, h_hv, h_hh; ValueError unless each is finite."""
 
     h_vv: complex
     h_vh: complex
     h_hv: complex
     h_hh: complex
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(complex(value)):
+                raise ValueError(f"scattering coefficient {name} must be finite, got {value}")
 
     @property
     def matrix(self) -> np.ndarray:

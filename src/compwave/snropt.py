@@ -78,8 +78,10 @@ def _ratio(mags: np.ndarray):
 
 
 def _basis(Z) -> np.ndarray:
-    """Z as a 2-D complex array; ValueError when it has no column."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    """Z as a complex (N, U) array; ValueError unless it is 2-D with at least one column."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2:
+        raise ValueError(f"basis must be a 2-D (N, U) array, got shape {Z.shape}")
     if Z.size == 0:
         raise ValueError("empty basis")
     return Z

@@ -138,6 +138,14 @@ class TestDiscreteAmbiguity:
             discrete_ambiguity(([1, 1], [1, -1, 1]), [1], [1.0], [0.0])
 
 
+@pytest.mark.parametrize("entry", [discrete_ambiguity, closed_form_ambiguity, delay_ambiguity,
+                                   polarimetric_ambiguities])
+def test_two_dimensional_angles_rejected(pair64, design_02, entry):
+    # a 2-D angle axis would reach the CSV writers and angle_index as a map that cannot be read
+    with pytest.raises(ValueError, match=r"angles must be 1-D, got shape \(2, 3\)"):
+        entry(pair64, design_02.p, design_02.w, np.linspace(0, 2, 6).reshape(2, 3))
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("log2_length,n_pulses", [(1, 3), (3, 8), (5, 12)])
     def test_agrees_with_direct(self, log2_length, n_pulses):
@@ -235,6 +243,8 @@ class TestAmbiguityMap:
             AmbiguityMap(values=np.zeros((4, 2)), angles=[0.0, 1.0])
         with pytest.raises(ValueError):
             AmbiguityMap(values=np.zeros((3, 2)), angles=[0.0])
+        with pytest.raises(ValueError, match=r"angles must be 1-D, got shape \(1, 2\)"):
+            AmbiguityMap(values=np.zeros((3, 2)), angles=[[0.0, 1.0]])
 
     def test_index_leaving_a_row_unused_is_rejected(self):
         # every cell of this map is 1.0, yet its peak would read the unused row's 5.0

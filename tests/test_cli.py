@@ -556,6 +556,16 @@ class TestPolarCommand:
         assert run("polar", "--out-dir", tmp_path, "--design", path,
                    "--scattering", 1, 0, 0, "bogus") == 1
 
+    def test_non_finite_scattering_makes_no_out_dir(self, tmp_path, capsys):
+        # NaN would reach *_u_samples.json, which is then not standard JSON
+        path = make_design(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("polar", "--out-dir", tmp_path / "out", "--design", path,
+                       "--scattering", "nan", 0, 0, "inf", "--sample", 0, 0.0) == 1
+        assert "scattering coefficient h_vv must be finite, got (nan+0j)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_sample_lag(self, tmp_path, capsys):
         path = make_design(tmp_path)
         assert run("polar", "--out-dir", tmp_path, "--design", path,

@@ -16,6 +16,7 @@ from compwave import (
     EmptyNullSpaceError,
     ResilienceGrid,
     WaveformDesign,
+    cross_channel_nulls,
     design_from_vector,
     design_matrix,
     discrete_ambiguity,
@@ -23,6 +24,8 @@ from compwave import (
     extract_design,
     null_space_basis,
     null_space_design,
+    polarimetric_ambiguities,
+    slow_time_response,
     validate_design,
 )
 from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _responses
@@ -107,13 +110,13 @@ def cnormal(rng, size):
 
 
 class TestResponses:
-    """The blocked slow-time products against the whole phase-matrix product."""
+    """The slow-time products of ``_responses`` against the whole phase-matrix product."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(2, 300), k=st.integers(1, 5), count=st.sampled_from(["1", "2", "k", "k+1", "k+2"]),
            seed=st.integers(0, 2**32 - 1))
     def test_bit_identical_to_whole_product(self, n, k, count, seed):
-        rows = 4095 // n  # the most rows a block below 4096 entries holds
+        rows = 4095 // n  # the most rows below 4096 entries, where OpenBLAS threads a gemv
         m = {"1": 1, "2": 2, "k": k * rows, "k+1": k * rows + 1, "k+2": k * rows + 2}[count]
         rng = np.random.default_rng(seed)
         angles = rng.uniform(-np.pi, np.pi, m)
@@ -125,26 +128,10 @@ class TestResponses:
     @pytest.mark.parametrize("n", [5, 1366, 2048, 5000])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_few_angles_and_wide_trains(self, n, m):
-        # from N = 1366 on a block keeps 2 rows even past 4096 entries
+        # no angle, one angle (numpy's 1-row product takes a dot kernel), and two rows past 4096 entries
         v = cnormal(np.random.default_rng(7), n)
         angles = np.linspace(0.0, 1.0, m)
         assert np.array_equal(_responses(angles, v)[0].view(float), (_phase_matrix(angles, n) @ v).view(float))
-
-    def test_blocks_stay_below_the_threaded_gemv(self, monkeypatch, pair64, design_02):
-        # OpenBLAS threads a complex gemv from 4096 entries on; a 1-row block would take numpy's dot kernel
-        wide = null_space_design(128, (0.0, 2.0))
-        shapes = []
-
-        def recording(angles, n):
-            shapes.append((angles.size, n))
-            return _phase_matrix(angles, n)
-
-        monkeypatch.setattr(compwave.design, "_phase_matrix", recording)
-        discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 2001))
-        assert sum(rows for rows, _ in shapes) == 2001 and {n for _, n in shapes} == {48}
-        validate_design(wide)
-        assert sum(rows for rows, n in shapes if n == 128) == wide.grid.m
-        assert all(2 <= rows and rows * n < 4096 for rows, n in shapes)
 
 
 class TestNullSpaceBasis:
@@ -272,6 +259,26 @@ class TestOneBlasThread:
         with pytest.raises(RuntimeError), _one_blas_thread():
             raise RuntimeError
         assert self.count(setter) == 2
+
+    def test_every_slow_time_product_runs_pinned(self, setter, monkeypatch, pair64, design_02):
+        # each entry point makes one phase matrix, on one thread, and gives back the caller's count
+        counts = []
+
+        def recording(angles, n):
+            counts.append(self.count(setter))
+            return _phase_matrix(angles, n)
+
+        monkeypatch.setattr(compwave.design, "_phase_matrix", recording)
+        p, w, grid, angles = design_02.p, design_02.w, design_02.grid, evaluation_grid(0.0, 2.0, 2001)
+        for call in (lambda: discrete_ambiguity(pair64, p, w, angles),
+                     lambda: polarimetric_ambiguities(pair64, p, w, angles),
+                     lambda: slow_time_response(design_02.z, angles),
+                     lambda: design_from_vector(design_02.z, grid),
+                     lambda: validate_design(design_02),
+                     lambda: cross_channel_nulls(p, w, grid)):
+            counts.clear()
+            call()
+            assert counts == [1] and self.count(setter) == 2
 
     def test_overlapping_pins_restore_once(self, setter):
         # the setter acts on the whole process: the first pin out, while another runs, must not restore

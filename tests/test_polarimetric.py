@@ -189,6 +189,13 @@ class TestScatteringMatrix:
         with pytest.raises(ValueError):
             ScatteringMatrix.from_matrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="scattering coefficient h_hv must be finite"):
+            ScatteringMatrix(1, 0, bad, 1)
+        with pytest.raises(ValueError, match="scattering coefficient h_hv must be finite"):
+            ScatteringMatrix.from_matrix([[1, 0], [bad, 1]])
+
 
 class TestOutputMatrix:
     def test_identity_target_at_origin(self, channels_02, pair64, design_02):

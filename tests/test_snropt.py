@@ -26,6 +26,19 @@ def basis_16():
     return grid, null_space_basis(design_matrix(grid, 16))
 
 
+@pytest.mark.parametrize("entry", [
+    basis_selection,
+    lambda Z: coordinate_descent(Z, restarts=1),
+    lambda Z: snr_upper_bound(Z, np.ones(4)),
+    lambda Z: design_from_lambda(Z, [1.0], ResilienceGrid.uniform(0.0, 2.0, 3)),
+], ids=["basis_selection", "coordinate_descent", "snr_upper_bound", "design_from_lambda"])
+@pytest.mark.parametrize("Z", [np.array([1, 2j, -3, 0.5]), np.ones((4, 1, 1))], ids=["1-D", "3-D"])
+def test_basis_must_be_two_dimensional(entry, Z):
+    # a 1-D basis is not read as one row: that picks an entry, or fails later with another message
+    with pytest.raises(ValueError, match=r"basis must be a 2-D \(N, U\) array, got shape"):
+        entry(Z)
+
+
 class TestSnrRatio:
     def test_uniform_reaches_n(self):
         assert snr_ratio(np.ones(12)) == pytest.approx(12.0)
