@@ -18,7 +18,12 @@ design at the default 2001 points, ``compare``, ``snr-sweep`` and
 most rows across channels and files.  One ``<sha256>  <path>`` line per
 file, sorted by path, goes to standard output.  Run it against two
 library trees and diff the outputs to show that a change keeps every
-artifact byte-identical.  Exits 1 when a command fails.
+artifact byte-identical.
+
+The sequence runs twice in one process, the second time into a
+temporary directory of its own, with the library's phase-matrix and
+correlation memos warm from the first.  Exits 1 when a command fails or
+the second run's files differ from the first's in name or in any byte.
 """
 from __future__ import annotations
 
@@ -79,7 +84,7 @@ def sequence(out: Path) -> list:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the compwave package")
-    parser.add_argument("--out-dir", help="where the artifacts go (default: a temporary directory)")
+    parser.add_argument("--out-dir", help="an empty directory for the first run's artifacts (default: a temporary one)")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -89,17 +94,27 @@ def main() -> int:
         print(f"error: imported compwave from {compwave.cli.__file__}, not from {src}", file=sys.stderr)
         return 1
     with contextlib.ExitStack() as stack:
-        out = Path(args.out_dir or stack.enter_context(tempfile.TemporaryDirectory()))
-        out.mkdir(parents=True, exist_ok=True)
-        for argv in sequence(out):
-            log = io.StringIO()
-            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-                code = compwave.cli.main(argv)
-            if code != 0:
-                print(f"error: compwave {argv[0]} exited {code}:\n{log.getvalue()}", file=sys.stderr)
-                return 1
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
+        outs = [Path(args.out_dir or stack.enter_context(tempfile.TemporaryDirectory())),
+                Path(stack.enter_context(tempfile.TemporaryDirectory()))]
+        runs = []  # per run: {path: sha256}, cold memos first, then warm
+        for out in outs:
+            out.mkdir(parents=True, exist_ok=True)
+            for argv in sequence(out):
+                log = io.StringIO()
+                with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                    code = compwave.cli.main(argv)
+                if code != 0:
+                    print(f"error: compwave {argv[0]} exited {code}:\n{log.getvalue()}", file=sys.stderr)
+                    return 1
+            runs.append({path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                         for path in sorted(p for p in out.rglob("*") if p.is_file())})
+    cold, warm = runs
+    if warm != cold:
+        differ = sorted(name for name in cold.keys() | warm.keys() if cold.get(name) != warm.get(name))
+        print(f"error: the warm run's files differ from the cold run's: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    for name, digest in cold.items():
+        print(f"{digest}  {name}")
     return 0
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _integer, _responses, _schedule_weights, evaluation_grid
+from .design import _angle_axis, _integer, _responses, _schedule_weights, evaluation_grid
 from .golay import _biphase_pair, _correlate, _write_json
 
 __all__ = [
@@ -206,17 +206,9 @@ def _write_matrix_csv(path, header: bytes, rows: np.ndarray, cell_fmt: str = _CE
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
-    """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each angle (one :func:`_responses` pass)."""
+    """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each of the 1-D ``angles`` (one :func:`_responses` pass)."""
     v = np.asarray(coeffs, dtype=complex).ravel()
-    return _responses(np.asarray(angles, dtype=float), v)[0]
-
-
-def _angle_axis(angles) -> np.ndarray:
-    """``angles`` as a 1-D float array (a scalar is one angle); ValueError for any other shape."""
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    if ang.ndim != 1:
-        raise ValueError(f"angles must be 1-D, got shape {ang.shape}")
-    return ang
+    return _responses(_angle_axis(angles), v)[0]
 
 
 def _grid_index(angles: np.ndarray, angle: float) -> int:

@@ -20,6 +20,7 @@ first write, after every check, and each file is announced by one
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -95,8 +96,11 @@ class _Ordered(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # every value rule sits on its option, so argparse applies it to flags and
+    # built once per process: parsing leaves the parser and its default lists
+    # as they are, and no command writes to an option's default.
+    # Every value rule sits on its option, so argparse applies it to flags and
     # config values alike, for every command, before any work starts
     common = _Parser(add_help=False)
     common.add_argument("--out-dir", help="output directory (default: $COMPWAVE_OUT_DIR or .)")

@@ -69,7 +69,7 @@ class ResilienceGrid:
     interval: tuple = None
 
     def __post_init__(self):
-        ang = np.unique(np.atleast_1d(np.asarray(self.angles, dtype=float)))
+        ang = np.unique(_angle_axis(self.angles))
         if ang.size == 0:
             raise ValueError("a resilience grid needs at least one angle")
         if self.kind not in GRID_KINDS:
@@ -128,16 +128,25 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
 
     ``grid`` may be a :class:`ResilienceGrid` or a bare array of angles.
     N < 2 is rejected: a single pulse admits no nontrivial schedule.
-    The library's products E @ v run through :func:`_responses`.
+    Each call returns a new, writable array; the library's products
+    E @ v run through :func:`_responses` and its memo instead.
     """
     return _phase_matrix(_constraint_angles(grid, n_pulses), n_pulses)
 
 
+def _angle_axis(angles) -> np.ndarray:
+    """``angles`` as a 1-D float array (a scalar is one angle); ValueError for any other shape."""
+    ang = np.atleast_1d(np.asarray(angles, dtype=float))
+    if ang.ndim != 1:
+        raise ValueError(f"angles must be 1-D, got shape {ang.shape}")
+    return ang
+
+
 def _constraint_angles(grid, n_pulses: int) -> np.ndarray:
-    """The angles of ``grid`` (a :class:`ResilienceGrid` or bare angles) for an N-pulse design, N >= 2."""
+    """The angles of ``grid`` (a :class:`ResilienceGrid` or bare 1-D angles) for an N-pulse design, N >= 2."""
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
-    return grid.angles if isinstance(grid, ResilienceGrid) else np.atleast_1d(np.asarray(grid, dtype=float))
+    return grid.angles if isinstance(grid, ResilienceGrid) else _angle_axis(grid)
 
 
 def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
@@ -208,15 +217,34 @@ def _one_blas_thread():
                 setter(_pin_saved)
 
 
+_PHASE_MEMO = 4  # phase matrices _phases keeps
+
+
+@functools.lru_cache(maxsize=_PHASE_MEMO)
+def _phases(angles: bytes, n: int) -> np.ndarray:
+    """The read-only :func:`_phase_matrix` of the float64 ``angles`` bytes and N, built pinned.
+
+    A memo of the last 4 (angles, N): it keeps at most 4 times the
+    largest E of recent calls (1.5 MB at 2001 x 48).  The key is bytes,
+    so 0.0 and -0.0 are different angles, as they are to exp; an error
+    is never kept, so it is raised again on every call.
+    """
+    with _one_blas_thread():
+        phases = _phase_matrix(np.frombuffer(angles), n)
+    phases.setflags(write=False)
+    return phases
+
+
 def _responses(angles: np.ndarray, *vectors) -> list:
     """[E(angles) @ v for each v]: the slow-time responses f_v of equal-length complex ``vectors``.
 
-    One phase matrix serves every vector, and the products run under
+    ``angles`` is a 1-D float array.  One phase matrix, from the memo of
+    :func:`_phases`, serves every vector, and the products run under
     :func:`_one_blas_thread`.  A gemv's bits do not depend on OpenBLAS's
     thread count, so f_v is the same where the pin is a no-op.
     """
+    phases = _phases(np.asarray(angles, dtype=float).tobytes(), vectors[0].size)
     with _one_blas_thread():
-        phases = _phase_matrix(np.ravel(angles), vectors[0].size)
         return [phases @ v for v in vectors]
 
 
@@ -386,7 +414,7 @@ def _null_space(n_pulses: int, interval, constraints, kind: str):
     if m < 1:
         raise ValueError("need at least one constraint angle")
     grid = ResilienceGrid.uniform(interval[0], interval[1], m, kind=kind)
-    return grid, null_space_basis(design_matrix(grid, n_pulses))
+    return grid, null_space_basis(_phases(grid.angles.tobytes(), n_pulses))
 
 
 def null_space_design(n_pulses: int, interval, constraints: int = None, kind: str = "doppler") -> WaveformDesign:

@@ -18,6 +18,7 @@ which is precisely numpy's ``correlate`` in ``"full"`` mode with lags ascending.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -95,17 +96,34 @@ def _biphase_pair(a, b):
     return aa, bb
 
 
-def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full aperiodic correlation of two validated biphase arrays, as exact int64.
+_CORRELATION_MEMO = 8  # correlations _correlation keeps
 
-    Computed on float64 copies, where numpy has a vectorised dot product
-    (several times faster than its int64 loop at L in the thousands).  The
-    result is exact, with no error bound to state: every product is +-1
-    and every partial sum an integer of magnitude at most min(len(a),
-    len(b)) < 2**53, so each float64 operation is exact in any summation
-    order, whatever the BLAS or FMA.
+
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full aperiodic correlation of two validated biphase arrays, as exact, read-only int64.
+
+    Taken from the memo of :func:`_correlation`, keyed on the int64 bytes
+    of ``a`` and ``b``; callers copy or combine the result, never write it.
     """
-    return np.correlate(a.astype(float), b.astype(float), "full").astype(np.int64)
+    return _correlation(np.asarray(a, dtype=np.int64).tobytes(), np.asarray(b, dtype=np.int64).tobytes())
+
+
+@functools.lru_cache(maxsize=_CORRELATION_MEMO)
+def _correlation(a: bytes, b: bytes) -> np.ndarray:
+    """The read-only correlation of the int64 sequences in ``a`` and ``b``; a memo of the last 8 pairs.
+
+    It keeps at most 8 correlations with their keys (at L = 4096, 64 KB
+    each plus 64 KB of key).  Computed on float64 copies, where numpy has
+    a vectorised dot product (several times faster than its int64 loop at
+    L in the thousands).  The result is exact, with no error bound to
+    state: every product is +-1 and every partial sum an integer of
+    magnitude at most min(len(a), len(b)) < 2**53, so each float64
+    operation is exact in any summation order, whatever the BLAS or FMA.
+    """
+    x, y = (np.frombuffer(s, dtype=np.int64).astype(float) for s in (a, b))
+    c = np.correlate(x, y, "full").astype(np.int64)
+    c.setflags(write=False)
+    return c
 
 
 def autocorrelation(s) -> CorrelationProfile:

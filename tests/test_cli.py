@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -424,6 +425,30 @@ def test_overflowing_interval_rejected_before_any_file(tmp_path, capsys, stored_
         assert run(*argv, "--out-dir", tmp_path / "out") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def parser_state(parser) -> dict:
+    """Every subcommand's options as (dest, repr of the default, the default's id)."""
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.dest, repr(a.default), id(a.default)) for a in sub._actions] for name, sub in commands.items()}
+
+
+def test_parser_built_once_and_left_unchanged(tmp_path):
+    parser = compwave.cli._build_parser()
+    before = parser_state(parser)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_list": [8], "optimizers": ["bd"], "out": "cfg.csv"}))
+    assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12, "--optimizers", "bd", "bs") == 0
+    assert run("repro", "--out-dir", tmp_path, "--n", 8, "--points", 5, "--n-list", 8, "--restarts", 1,
+               "--sweeps", 1, "--label", "x") == 0
+    assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 1) == 1
+    assert run("snr-sweep", "--out-dir", tmp_path, "--config", config) == 0
+    assert compwave.cli._build_parser() is parser and parser_state(parser) == before
+    # the next command runs on the stock --n-list and --optimizers
+    assert run("snr-sweep", "--out-dir", tmp_path, "--restarts", 1, "--sweeps", 1, "--out", "stock.csv") == 0
+    cells = [row.split(",")[:2] for row in (tmp_path / "stock.csv").read_text().splitlines()[1:]]
+    assert cells == [[str(n), method] for n in (8, 16, 24, 32, 40, 48) for method in compwave.cli.SWEEP_METHODS]
+    assert parser_state(parser) == before
 
 
 class TestSnrSweepCommand:

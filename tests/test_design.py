@@ -28,7 +28,7 @@ from compwave import (
     slow_time_response,
     validate_design,
 )
-from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _responses
+from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _phases, _responses
 
 
 class TestResilienceGrid:
@@ -132,6 +132,99 @@ class TestResponses:
         v = cnormal(np.random.default_rng(7), n)
         angles = np.linspace(0.0, 1.0, m)
         assert np.array_equal(_responses(angles, v)[0].view(float), (_phase_matrix(angles, n) @ v).view(float))
+
+
+class TestPhaseMemo:
+    """The memo of ``_phases`` behind ``_responses``: keyed on angle bytes and N, read-only, never the public E."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _phases.cache_clear()
+
+    def test_equal_angles_in_different_arrays_share_an_entry(self):
+        v = cnormal(np.random.default_rng(3), 8)
+        first = _responses(evaluation_grid(0.0, 2.0, 101), v)[0]
+        again = _responses(np.linspace(0.0, 2.0, 101).copy(), v)[0]
+        assert np.array_equal(first.view(float), again.view(float))
+        assert _phases.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _responses(evaluation_grid(0.0, 2.0, 101), cnormal(np.random.default_rng(4), 9))
+        assert _phases.cache_info()[:2] == (1, 2)  # another N is another entry
+
+    def test_signed_zeros_do_not_share(self):
+        v = cnormal(np.random.default_rng(5), 6)
+        for angles in (np.array([0.0, 0.5, 1.0]), np.array([-0.0, 0.5, 1.0])):
+            got = _responses(angles, v)[0]
+            assert np.array_equal(got.view(np.uint64), (_phase_matrix(angles, 6) @ v).view(np.uint64))
+        assert _phases.cache_info()[:2] == (0, 2)
+
+    def test_cached_matrix_is_read_only(self):
+        angles = evaluation_grid(0.0, 1.0, 5)
+        _responses(angles, np.ones(4, dtype=complex))
+        phases = _phases(angles.tobytes(), 4)
+        assert not phases.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            phases[0, 0] = 0
+
+    def test_design_matrix_is_fresh_and_writable(self):
+        angles = evaluation_grid(0.0, 1.0, 5)
+        v = np.ones(4, dtype=complex)
+        before = _responses(angles, v)[0]
+        E = design_matrix(angles, 4)
+        assert E.flags.writeable and not np.shares_memory(E, _phases(angles.tobytes(), 4))
+        E[:] = 0
+        assert np.array_equal(_responses(angles, v)[0], before)
+
+    def test_overflow_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="phase overflows"):
+                slow_time_response(np.ones(8), [0.0, 1e308])
+        assert _phases.cache_info().currsize == 0
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores and more keys than entries, switching often: every response must
+        # still be the fresh product, and the memo must stay within its bound
+        rng = np.random.default_rng(11)
+        grids = [rng.uniform(-np.pi, np.pi, 50 + i) for i in range(6)]
+        v = cnormal(rng, 12)
+        expected = [(_phase_matrix(a, 12) @ v).tobytes() for a in grids]
+        wrong, start = [], threading.Barrier(8)
+
+        def calling(seed):
+            start.wait(10)
+            order = np.random.default_rng(seed).integers(len(grids), size=300)
+            wrong.extend(int(i) for i in order if _responses(grids[i], v)[0].tobytes() != expected[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=calling, args=(seed,)) for seed in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == [] and _phases.cache_info().currsize <= 4
+
+    def test_holds_a_handful(self):
+        v = np.ones(3, dtype=complex)
+        for count in range(1, 20):
+            _responses(evaluation_grid(0.0, 1.0, count), v)
+        assert _phases.cache_info().currsize == compwave.design._PHASE_MEMO == 4
+
+
+@pytest.mark.parametrize("entry", [
+    lambda angles: slow_time_response(np.ones(4), angles),
+    lambda angles: design_matrix(angles, 4),
+    lambda angles: design_from_vector(np.array([1, -1, 1j, 0.5]), angles),
+    lambda angles: cross_channel_nulls([1, -1, 1, 1], [1, 2, 1j, 0.5], angles),
+    lambda angles: validate_design(WaveformDesign([1, 1], [1, -1], grid=ResilienceGrid(angles, interval=(0, 2)))),
+], ids=["slow_time_response", "design_matrix", "design_from_vector", "cross_channel_nulls", "validate_design"])
+def test_two_dimensional_angles_rejected(entry):
+    # flattened, a (2, 3) array of angles would pass for six constraint or evaluation angles
+    with pytest.raises(ValueError, match=r"angles must be 1-D, got shape \(2, 3\)"):
+        entry(np.linspace(0, 2, 6).reshape(2, 3))
 
 
 class TestNullSpaceBasis:
@@ -261,7 +354,8 @@ class TestOneBlasThread:
         assert self.count(setter) == 2
 
     def test_every_slow_time_product_runs_pinned(self, setter, monkeypatch, pair64, design_02):
-        # each entry point makes one phase matrix, on one thread, and gives back the caller's count
+        # from a cold memo each entry point makes one phase matrix, on one thread, and gives back the
+        # caller's count; an immediate repeat makes none and returns the same bits
         counts = []
 
         def recording(angles, n):
@@ -270,15 +364,18 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(compwave.design, "_phase_matrix", recording)
         p, w, grid, angles = design_02.p, design_02.w, design_02.grid, evaluation_grid(0.0, 2.0, 2001)
-        for call in (lambda: discrete_ambiguity(pair64, p, w, angles),
-                     lambda: polarimetric_ambiguities(pair64, p, w, angles),
-                     lambda: slow_time_response(design_02.z, angles),
-                     lambda: design_from_vector(design_02.z, grid),
-                     lambda: validate_design(design_02),
-                     lambda: cross_channel_nulls(p, w, grid)):
+        for call, bits in ((lambda: discrete_ambiguity(pair64, p, w, angles), lambda a: a.values.tobytes()),
+                           (lambda: polarimetric_ambiguities(pair64, p, w, angles),
+                            lambda a: [c.values.tobytes() for c in a.channels.values()]),
+                           (lambda: slow_time_response(design_02.z, angles), np.ndarray.tobytes),
+                           (lambda: design_from_vector(design_02.z, grid), lambda d: json.dumps(d.to_dict())),
+                           (lambda: validate_design(design_02), lambda r: json.dumps(r.to_dict())),
+                           (lambda: cross_channel_nulls(p, w, grid), repr)):
+            _phases.cache_clear()
             counts.clear()
-            call()
+            cold = bits(call())
             assert counts == [1] and self.count(setter) == 2
+            assert bits(call()) == cold and counts == [1] and self.count(setter) == 2
 
     def test_overlapping_pins_restore_once(self, setter):
         # the setter acts on the whole process: the first pin out, while another runs, must not restore

@@ -20,7 +20,7 @@ from compwave import (
     reverse,
     save_sequence,
 )
-from compwave.golay import _correlate
+from compwave.golay import _correlate, _correlation
 
 
 def brute_correlation(a, b):
@@ -134,6 +134,36 @@ class TestCorrelateHelper:
         ones = np.ones(x.size, dtype=np.int64)
         for u, v in ((x, x), (y, y), (x, y), (y, x), (ones, ones)):
             self.assert_exact(u, v)
+
+
+class TestCorrelationMemo:
+    """The memo of ``_correlation`` behind ``_correlate``: keyed on sequence bytes, read-only int64."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _correlation.cache_clear()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 255, 1024, 4096])
+    def test_cold_and_warm_match_int64_correlate(self, length):
+        rng = np.random.default_rng(length)
+        a, b = (rng.choice(np.array([-1, 1]), length) for _ in range(2))
+        for u, v in ((a, b), (b, a), (a, a)):
+            expected = np.correlate(u, v, "full")
+            cold, warm = _correlate(u, v), _correlate(u.copy(), v.copy())
+            assert warm is cold and cold.dtype == np.int64 and np.array_equal(cold, expected)
+        assert _correlation.cache_info()[:2] == (3, 3)  # (hits, misses)
+
+    def test_result_is_read_only(self, pair64):
+        values = _correlate(pair64.x, pair64.y)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+
+    def test_callers_get_their_own_arrays(self, pair64):
+        profile = autocorrelation(pair64.x)
+        assert not np.shares_memory(profile.values, _correlate(pair64.x, pair64.x))
+        assert is_golay_pair(*pair64) and is_golay_pair(*pair64)
+        assert np.array_equal(autocorrelation(pair64.x).values, profile.values)
 
 
 class TestGolayPairs:
