@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _angle_axis, _integer, _responses, _schedule_weights, evaluation_grid
+from .design import _integer, _responses, _schedule_weights, _vector, evaluation_grid
 from .golay import _biphase_pair, _correlate, _write_json
 
 __all__ = [
@@ -206,9 +206,8 @@ def _write_matrix_csv(path, header: bytes, rows: np.ndarray, cell_fmt: str = _CE
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
-    """f_v(theta) = sum_n v_n exp(j n theta), evaluated at each of the 1-D ``angles`` (one :func:`_responses` pass)."""
-    v = np.asarray(coeffs, dtype=complex).ravel()
-    return _responses(_angle_axis(angles), v)[0]
+    """f_v(theta) = sum_n v_n exp(j n theta) of the 1-D ``coeffs``, at each of the 1-D ``angles`` (one :func:`_responses` pass)."""
+    return _responses(_vector(angles, "angles", float), _vector(coeffs, "coeffs"))[0]
 
 
 def _grid_index(angles: np.ndarray, angle: float) -> int:
@@ -258,32 +257,57 @@ class AmbiguityMap:
     ``peak``, ``mainlobe``, the sidelobe quantities, :meth:`metadata` and
     the CSV writers work on the rows.  ``values`` gathers the dense lag x
     angle array on first read and keeps it; ``db`` gathers a new one on
-    each read.
+    each read.  The map keeps copies of ``values``, ``index`` and
+    ``angles``, read-only; the caller's arrays stay writable and later
+    writes to them do not reach the map.
     """
 
     def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
-        rows = np.atleast_2d(np.asarray(values, dtype=complex))
-        ang = _angle_axis(angles)
-        self._index = np.arange(rows.shape[0]) if index is None else np.asarray(index)
-        if self._index.size % 2 == 0:
+        rows = np.array(values, dtype=complex, ndmin=2)
+        lag_rows = np.arange(rows.shape[0]) if index is None else np.array(index)
+        ang = _vector(angles, "angles", float)
+        if lag_rows.size % 2 == 0:
             raise ValueError("lag axis must have odd length 2L-1")
         if rows.shape[1] != ang.size:
             raise ValueError("angle axis does not match the number of columns")
-        if index is not None and not (self._index.ndim == 1 and self._index.dtype.kind in "iu"
-                                      and 0 <= self._index.min() <= self._index.max() < len(rows)
-                                      and np.bincount(self._index.astype(np.intp), minlength=len(rows)).all()):
+        if index is not None and not (lag_rows.ndim == 1 and lag_rows.dtype.kind in "iu"
+                                      and 0 <= lag_rows.min() <= lag_rows.max() < len(rows)
+                                      and np.bincount(lag_rows.astype(np.intp), minlength=len(rows)).all()):
             raise ValueError(f"index must be 1-D integers using each of the {len(rows)} rows of values, and no other")
-        rows.setflags(write=False)
-        ang.setflags(write=False)
-        self._rows, self._values = rows, rows if index is None else None
-        self.angles, self.kind, self.n_pulses = ang, kind, n_pulses
+        self._adopt(rows, ang, kind, n_pulses, lag_rows)
+        if index is None:
+            self._values = rows
+
+    @classmethod
+    def _built(cls, rows, angles, kind, n_pulses, index, mirror=None) -> "AmbiguityMap":
+        """A map over arrays the library has just built and hands over: taken as they are, unchecked and uncopied."""
+        amap = cls.__new__(cls)
+        amap._adopt(rows, angles, kind, n_pulses, index, mirror)
+        return amap
+
+    def _adopt(self, rows, angles, kind, n_pulses, index, mirror=None) -> None:
+        """Keep the arrays as the map's own, read-only.  ``mirror``: the map whose lag axis this one reverses."""
+        for array in (rows, angles, index):
+            array.setflags(write=False)
+        self._rows, self._index, self._values, self._mirror = rows, index, None, mirror
+        self.angles, self.kind, self.n_pulses = angles, kind, n_pulses
 
     @property
     def values(self) -> np.ndarray:
-        """The dense complex map, gathered from the distinct rows on first use (read-only)."""
+        """The dense complex map, gathered from the distinct rows on first use (read-only).
+
+        A mirror map (HV of :func:`~compwave.polarimetric.polarimetric_ambiguities`,
+        VH's lags reversed over VH's rows) gathers nothing of its own: its
+        ``values`` is VH's dense array reversed along the lag axis, a
+        read-only view of the same memory that is not C-contiguous.  The
+        array is gathered once, by whichever of the two is read first.
+        """
         if self._values is None:
-            self._values = self._rows[self._index]
-            self._values.setflags(write=False)
+            if self._mirror is None:
+                self._values = self._rows[self._index]
+                self._values.setflags(write=False)
+            else:
+                self._values = self._mirror.values[::-1]
         return self._values
 
     @property
@@ -397,7 +421,7 @@ def _two_terms(pair, p, w, angles):
     :func:`_responses` pass; a single matmul over both may round
     differently.
     """
-    ang = _angle_axis(angles)
+    ang = _vector(angles, "angles", float)
     x, y = _biphase_pair(*pair)
     pp, ww = _schedule_weights(p, w)
     fw, fz = _responses(ang, ww, pp * ww)
@@ -422,7 +446,7 @@ def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
     else:
         rows = even
         rows += odd
-    return AmbiguityMap(rows, ang, kind, n, index)
+    return AmbiguityMap._built(rows, ang, kind, n, index)
 
 
 def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:

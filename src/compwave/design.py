@@ -69,7 +69,7 @@ class ResilienceGrid:
     interval: tuple = None
 
     def __post_init__(self):
-        ang = np.unique(_angle_axis(self.angles))
+        ang = np.unique(_vector(self.angles, "angles", float))
         if ang.size == 0:
             raise ValueError("a resilience grid needs at least one angle")
         if self.kind not in GRID_KINDS:
@@ -134,19 +134,23 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
     return _phase_matrix(_constraint_angles(grid, n_pulses), n_pulses)
 
 
-def _angle_axis(angles) -> np.ndarray:
-    """``angles`` as a 1-D float array (a scalar is one angle); ValueError for any other shape."""
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    if ang.ndim != 1:
-        raise ValueError(f"angles must be 1-D, got shape {ang.shape}")
-    return ang
+def _vector(values, what: str, dtype=complex) -> np.ndarray:
+    """``values`` as a new 1-D ``dtype`` array (a scalar is one entry); ValueError naming the shape for any other.
+
+    Always a copy, so whatever keeps or freezes the result leaves the
+    caller's array writable and untouched by later writes.
+    """
+    v = np.array(values, dtype=dtype, ndmin=1)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got shape {v.shape}")
+    return v
 
 
 def _constraint_angles(grid, n_pulses: int) -> np.ndarray:
     """The angles of ``grid`` (a :class:`ResilienceGrid` or bare 1-D angles) for an N-pulse design, N >= 2."""
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses for a nontrivial design")
-    return grid.angles if isinstance(grid, ResilienceGrid) else _angle_axis(grid)
+    return grid.angles if isinstance(grid, ResilienceGrid) else _vector(grid, "angles", float)
 
 
 def _phase_matrix(angles: np.ndarray, n: int) -> np.ndarray:
@@ -285,9 +289,9 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
 
 
 def _schedule_weights(p, w):
-    """(p, w) as an int64 +/-1 schedule and a flat complex weight vector; ValueError unless their lengths match."""
+    """(p, w) as an int64 +/-1 schedule and a 1-D complex weight vector; ValueError unless both are 1-D of one length."""
     pp = as_biphase(p)
-    ww = np.asarray(w, dtype=complex).ravel()
+    ww = _vector(w, "weights")
     if pp.size != ww.size:
         raise ValueError(f"schedule/weight length mismatch: {pp.size} vs {ww.size}")
     return pp, ww
@@ -299,7 +303,7 @@ def extract_design(zhat: np.ndarray):
     p_n is +1 when Re(zhat_n) >= 0, else -1; w_n = p_n zhat_n.  Since
     p_n in {+1, -1}, the product p * w reproduces zhat bit for bit.
     """
-    z = np.asarray(zhat, dtype=complex).ravel()
+    z = _vector(zhat, "zhat")
     if not np.any(z != 0):
         raise ValueError("cannot extract a design from the zero vector")
     p = np.where(z.real >= 0, 1, -1).astype(np.int64)

@@ -20,12 +20,17 @@ sidelobes and both cross-polar channels vanish together, and the
 scattering matrix can be read off the output matrix
 U = H [[VV, VH], [HV, HH]].
 
+For real sequences C_yx[k] = C_xy[-k] exactly, so HV is VH with its lag
+axis reversed, bit for bit; only C_xy is computed.
+
 Each channel is stored factored like the single-antenna map (see
 :class:`~compwave.ambiguity.AmbiguityMap`): VV and HH share one row per
-distinct (C_x + C_y, C_x - C_y) pair, VH and HV hold one row per
-distinct value of C_xy and C_yx.  :func:`output_matrix` reads single
-cells from those rows; a channel's dense array is built only when its
-``values`` or ``db`` is read.
+distinct (C_x + C_y, C_x - C_y) pair, VH holds one row per distinct
+value of C_xy, and HV reuses VH's rows with VH's row index reversed.
+:func:`output_matrix` reads single cells from those rows; a channel's
+dense array is built only when its ``values`` or ``db`` is read, and
+VH and HV share one: HV's ``values`` is VH's reversed along the lag
+axis, a read-only view of the same memory.
 """
 from __future__ import annotations
 
@@ -96,20 +101,21 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
     bit-identical to the single-antenna map.  The cross-polar maps are
     built from their reduced single-term forms; the reversal identities
     behind that reduction are covered by the tests, not checked per call.
+    Three correlations are computed: C_x, C_y and C_xy.  HV is VH's lag
+    mirror: VH's rows, VH's row index reversed, and as ``values`` VH's
+    dense array reversed along the lag axis (a read-only view, not
+    C-contiguous, gathered once for both).
     """
     x, y, ang, n, _, fz, _, even, odd, index = _two_terms(pair, p, w, angles)
     vv = even + odd
     even -= odd  # HH = even - odd, in place
-
-    def cross(a, b):
-        coef, cross_index = _lag_rows(_correlate(a, b))
-        return AmbiguityMap(np.outer(coef[:, 0], fz), ang, kind, n, cross_index)
-
+    coef, cross_index = _lag_rows(_correlate(x, y))
+    vh = AmbiguityMap._built(np.outer(coef[:, 0], fz), ang, kind, n, cross_index)
     return PolarimetricAmbiguity(
-        vv=AmbiguityMap(vv, ang, kind, n, index),
-        hh=AmbiguityMap(even, ang, kind, n, index),
-        vh=cross(x, y),
-        hv=cross(y, x),
+        vv=AmbiguityMap._built(vv, ang, kind, n, index),
+        hh=AmbiguityMap._built(even, ang, kind, n, index),
+        vh=vh,
+        hv=AmbiguityMap._built(vh._rows, ang, kind, n, cross_index[::-1], mirror=vh),  # C_yx[k] = C_xy[-k]
     )
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ResilienceGrid, WaveformDesign, _one_blas_thread, design_from_vector
+from .design import ResilienceGrid, WaveformDesign, _one_blas_thread, _vector, design_from_vector
 from .golay import _write_json
 
 __all__ = [
@@ -65,7 +65,7 @@ def snr_ratio(w) -> float:
     Lies in [1, N]; 1 for a single nonzero entry, N for uniform
     magnitudes.  Invariant under scaling of w.
     """
-    ww = np.asarray(w, dtype=complex).ravel()
+    ww = _vector(w, "weights")
     if not np.any(ww != 0):
         raise ValueError("snr_ratio undefined for the zero vector")
     return float(_ratio(np.abs(ww)))
@@ -279,7 +279,7 @@ def design_from_lambda(Z: np.ndarray, lam, grid: ResilienceGrid) -> WaveformDesi
     A zero Z lambda is rejected by :func:`~compwave.design.extract_design`.
     """
     Z = _basis(Z)
-    ll = np.asarray(lam, dtype=complex).ravel()
+    ll = _vector(lam, "lambda")
     if ll.size != Z.shape[1]:
         raise ValueError(f"lambda length {ll.size} does not match basis width {Z.shape[1]}")
     return design_from_vector(Z @ ll, grid)
@@ -303,7 +303,7 @@ def snr_upper_bound(Z: np.ndarray, v) -> float:
     Q^H D^{-1} Q, so one small ``eigvalsh`` suffices.
     """
     Z = _basis(Z)
-    mags = np.abs(np.asarray(v, dtype=complex).ravel())
+    mags = np.abs(_vector(v, "v"))
     if mags.size != Z.shape[0]:
         raise ValueError(f"v length {mags.size} does not match basis length {Z.shape[0]}")
     if not (np.all(mags > 0) and np.all(np.isfinite(mags))):

@@ -246,6 +246,31 @@ class TestAmbiguityMap:
         with pytest.raises(ValueError, match=r"angles must be 1-D, got shape \(1, 2\)"):
             AmbiguityMap(values=np.zeros((3, 2)), angles=[[0.0, 1.0]])
 
+    def test_caller_values_and_index_stay_the_callers(self):
+        # the map keeps read-only copies: the caller's arrays stay writable, and writing them leaves the map as it was
+        rows, index = np.array([[1.0], [5.0]], dtype=complex), np.array([0, 1, 0])
+        dense = np.array([[1.0, 0.5], [4.0, 2.0], [0.25, 1.0]], dtype=complex)
+        factored = AmbiguityMap(values=rows, angles=[0.0], index=index)
+        wrapped = AmbiguityMap(values=dense, angles=[0.0, 1.0])
+        assert rows.flags.writeable and index.flags.writeable and dense.flags.writeable
+        rows[:], index[:], dense[:] = 7.0, [1, 0, 1], 0.0
+        assert np.array_equal(factored.values, [[1.0], [5.0], [1.0]]) and factored.peak == 5.0
+        assert np.array_equal(wrapped.values, [[1.0, 0.5], [4.0, 2.0], [0.25, 1.0]]) and wrapped.peak == 4.0
+        assert not (factored.values.flags.writeable or wrapped.values.flags.writeable)
+
+    def test_caller_angles_stay_the_callers(self, pair64, design_02):
+        angles = np.linspace(0.0, 2.0, 11)
+        maps = [discrete_ambiguity(pair64, design_02.p, design_02.w, angles),
+                closed_form_ambiguity(pair64, design_02.p, design_02.w, angles),
+                delay_ambiguity(pair64, design_02.p, design_02.w, angles),
+                *polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles).channels.values(),
+                AmbiguityMap(values=np.ones((3, 11)), angles=angles)]
+        assert angles.flags.writeable
+        angles[:] = -1.0
+        for amap in maps:
+            assert amap.angles is not angles and not amap.angles.flags.writeable
+            assert np.array_equal(amap.angles, np.linspace(0.0, 2.0, 11))
+
     def test_index_leaving_a_row_unused_is_rejected(self):
         # every cell of this map is 1.0, yet its peak would read the unused row's 5.0
         with pytest.raises(ValueError, match="each of the 2 rows"):

@@ -17,6 +17,7 @@ from compwave import (
     ResilienceGrid,
     WaveformDesign,
     cross_channel_nulls,
+    design_from_lambda,
     design_from_vector,
     design_matrix,
     discrete_ambiguity,
@@ -26,6 +27,8 @@ from compwave import (
     null_space_design,
     polarimetric_ambiguities,
     slow_time_response,
+    snr_ratio,
+    snr_upper_bound,
     validate_design,
 )
 from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _phases, _responses
@@ -225,6 +228,31 @@ def test_two_dimensional_angles_rejected(entry):
     # flattened, a (2, 3) array of angles would pass for six constraint or evaluation angles
     with pytest.raises(ValueError, match=r"angles must be 1-D, got shape \(2, 3\)"):
         entry(np.linspace(0, 2, 6).reshape(2, 3))
+
+
+@pytest.mark.parametrize("entry, what", [
+    (lambda v: slow_time_response(v, [0.0, 1.0]), "coeffs"),
+    (lambda v: WaveformDesign([1, -1, 1, 1], v), "weights"),
+    (lambda v: discrete_ambiguity(([1, -1], [1, 1]), [1, -1, 1, 1], v, [0.0, 1.0]), "weights"),
+    (extract_design, "zhat"),
+    (snr_ratio, "weights"),
+    (lambda v: design_from_lambda(np.eye(4, dtype=complex), v, ResilienceGrid.uniform(0.0, 2.0, 3)), "lambda"),
+    (lambda v: snr_upper_bound(np.eye(4, 2, dtype=complex), v), "v"),
+], ids=["slow_time_response", "WaveformDesign", "discrete_ambiguity", "extract_design", "snr_ratio",
+        "design_from_lambda", "snr_upper_bound"])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4, 1)], ids=["2-D", "3-D"])
+def test_vectors_must_be_one_dimensional(entry, what, shape):
+    # flattened, each of these four entries would pass for a 4-entry vector
+    with pytest.raises(ValueError, match=rf"{what} must be 1-D, got shape {re.escape(str(shape))}"):
+        entry(np.ones(shape))
+
+
+def test_design_keeps_its_own_weights():
+    # a later write to the caller's weights would otherwise reach the frozen design
+    w = np.array([1.0, 2.0j, -0.5])
+    design = WaveformDesign([1, -1, 1], w)
+    w[:] = 9.0
+    assert w.flags.writeable and np.array_equal(design.w, [1.0, 2.0j, -0.5])
 
 
 class TestNullSpaceBasis:

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compwave import (
+    AmbiguityMap,
     ScatteringMatrix,
     binomial_design,
     cross_channel_nulls,
@@ -15,6 +18,8 @@ from compwave import (
     polarimetric_ambiguities,
     slow_time_response,
 )
+from compwave.ambiguity import _lag_rows, _two_terms
+from compwave.golay import _correlation
 
 
 def per_pulse_channels(x, y, p, w, angles):
@@ -48,6 +53,24 @@ def per_pulse_channels(x, y, p, w, angles):
                 vh[:, j] -= c * c_yr_xr
                 hv[:, j] -= c * c_xr_yr
     return vv, hh, vh, hv
+
+
+def two_correlation_cross_maps(pair, p, w, angles, kind):
+    """VH and HV built apart, one correlation and one row set each: HV from C_yx, not from VH's lag mirror."""
+    x, y, ang, n, _, fz, *_ = _two_terms(pair, p, w, angles)
+
+    def cross(a, b):
+        coef, index = _lag_rows(np.correlate(a, b, "full"))
+        return AmbiguityMap(np.outer(coef[:, 0], fz), ang, kind, n, index)
+
+    return cross(x, y), cross(y, x)
+
+
+def csv_bytes(amap, folder: Path) -> tuple:
+    """The bytes :meth:`AmbiguityMap.to_csv` and :meth:`AmbiguityMap.db_to_csv` write (dB against 1.0)."""
+    amap.to_csv(folder / "map.csv")
+    amap.db_to_csv(folder / "db.csv", reference=1.0)
+    return (folder / "map.csv").read_bytes(), (folder / "db.csv").read_bytes()
 
 
 def biphase(size):
@@ -92,6 +115,8 @@ class TestChannelMaps:
             x, y = (np.asarray(s, dtype=dtype) for s in pair)
             assert np.array_equal(np.correlate(y[::-1], x[::-1], "full"), np.correlate(x, y, "full"))
             assert np.array_equal(np.correlate(x[::-1], y[::-1], "full"), np.correlate(y, x, "full"))
+            # and the one that makes HV VH's lag mirror: C_yx[k] = C_xy[-k]
+            assert np.array_equal(np.correlate(y, x, "full"), np.correlate(x, y, "full")[::-1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=channel_cases())
@@ -178,6 +203,47 @@ class TestChannelMaps:
             polarimetric_ambiguities(pair64, [1, -1], [1.0], [0.0])
         with pytest.raises(ValueError):
             polarimetric_ambiguities(([1, 1], [1, -1, 1]), [1], [1.0], [0.0])
+
+
+class TestLagMirror:
+    """HV is VH with its lag axis reversed: VH's rows, VH's index reversed, VH's dense array reversed."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=channel_cases(), kind=st.sampled_from(["doppler", "delay"]))
+    @example(case=(([1], [-1]), np.array([1, -1]), np.array([1.0, 0.5j]), np.array([0.0, 0.7])), kind="delay")
+    @example(case=(([1, 1, -1], [1, -1, -1]), np.array([1, 1, -1]), np.array([1.0, -2.0, 0.5j]),
+                   np.array([0.3, 2.0])), kind="doppler")
+    def test_matches_two_correlation_construction(self, case, kind):
+        (x, y), p, w, angles = case
+        amb = polarimetric_ambiguities((x, y), p, w, angles, kind)
+        assert amb.hv._rows is amb.vh._rows
+        with tempfile.TemporaryDirectory() as folder:
+            for amap, oracle in zip((amb.vh, amb.hv), two_correlation_cross_maps((x, y), p, w, angles, kind)):
+                assert amap._rows.tobytes() == oracle._rows.tobytes()
+                assert np.array_equal(amap._index, oracle._index)
+                assert amap.values.tobytes() == oracle.values.tobytes()
+                assert amap.metadata() == oracle.metadata()
+                assert csv_bytes(amap, Path(folder)) == csv_bytes(oracle, Path(folder))
+
+    def test_one_dense_array_whichever_channel_is_read_first(self, pair64, design_02):
+        angles = np.linspace(0.0, 2.0, 21)
+        vh_first, hv_first = (polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles) for _ in range(2))
+        vh_first.vh.values
+        hv_first.hv.values
+        for amb in (vh_first, hv_first):
+            vh, hv = amb.vh.values, amb.hv.values
+            assert np.shares_memory(hv, vh) and np.array_equal(hv, vh[::-1])
+            assert not (vh.flags.writeable or hv.flags.writeable)
+            assert vh.flags.c_contiguous and not hv.flags.c_contiguous
+            assert amb.vh.values is vh and amb.hv.values is hv
+        assert vh_first.vh.values.tobytes() == hv_first.vh.values.tobytes()
+        assert vh_first.hv.values.tobytes() == hv_first.hv.values.tobytes()
+
+    def test_three_correlations_per_call(self, pair64, design_02):
+        _correlation.cache_clear()
+        polarimetric_ambiguities(pair64, design_02.p, design_02.w, [0.0, 1.0])
+        info = _correlation.cache_info()
+        assert (info.misses, info.hits) == (3, 0)  # C_x, C_y and C_xy; C_yx is never formed
 
 
 class TestScatteringMatrix:
