@@ -36,7 +36,7 @@ print(f"worst single-sequence sidelobe: {worst} of {pair.length}")
 print("\n== bundled length-64 pair ==")
 fixture = length64_pair()
 print(f"complementary: {is_golay_pair(fixture.x, fixture.y)}  (exact integer check)")
-c0 = cross_correlation(fixture.x, fixture.y)[0]
+c0 = cross_correlation(fixture.x, fixture.y).values[fixture.length - 1]  # lag 0
 print(f"cross-correlation at lag 0: {c0}")
 
 print("\n== reversal symmetry ==")

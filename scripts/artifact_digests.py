@@ -20,10 +20,11 @@ file, sorted by path, goes to standard output.  Run it against two
 library trees and diff the outputs to show that a change keeps every
 artifact byte-identical.
 
-The sequence runs twice in one process, the second time into a
+The sequence runs three times in one process: the second time into a
 temporary directory of its own, with the library's phase-matrix and
-correlation memos warm from the first.  Exits 1 when a command fails or
-the second run's files differ from the first's in name or in any byte.
+correlation memos warm from the first, and the third time into the first
+run's directory, over the files it wrote.  Exits 1 when a command fails
+or a later run's files differ from the first's in name or in any byte.
 """
 from __future__ import annotations
 
@@ -94,9 +95,9 @@ def main() -> int:
         print(f"error: imported compwave from {compwave.cli.__file__}, not from {src}", file=sys.stderr)
         return 1
     with contextlib.ExitStack() as stack:
-        outs = [Path(args.out_dir or stack.enter_context(tempfile.TemporaryDirectory())),
-                Path(stack.enter_context(tempfile.TemporaryDirectory()))]
-        runs = []  # per run: {path: sha256}, cold memos first, then warm
+        first = Path(args.out_dir or stack.enter_context(tempfile.TemporaryDirectory()))
+        outs = [first, Path(stack.enter_context(tempfile.TemporaryDirectory())), first]
+        runs = []  # per run: {path: sha256}: cold memos, warm memos, then over the first run's files
         for out in outs:
             out.mkdir(parents=True, exist_ok=True)
             for argv in sequence(out):
@@ -108,11 +109,12 @@ def main() -> int:
                     return 1
             runs.append({path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                          for path in sorted(p for p in out.rglob("*") if p.is_file())})
-    cold, warm = runs
-    if warm != cold:
-        differ = sorted(name for name in cold.keys() | warm.keys() if cold.get(name) != warm.get(name))
-        print(f"error: the warm run's files differ from the cold run's: {', '.join(differ)}", file=sys.stderr)
-        return 1
+    cold = runs[0]
+    for run, files in zip(("warm", "rerun"), runs[1:]):
+        if files != cold:
+            differ = sorted(name for name in cold.keys() | files.keys() if cold.get(name) != files.get(name))
+            print(f"error: the {run} run's files differ from the cold run's: {', '.join(differ)}", file=sys.stderr)
+            return 1
     for name, digest in cold.items():
         print(f"{digest}  {name}")
     return 0

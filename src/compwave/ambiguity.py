@@ -259,7 +259,8 @@ class AmbiguityMap:
     angle array on first read and keeps it; ``db`` gathers a new one on
     each read.  The map keeps copies of ``values``, ``index`` and
     ``angles``, read-only; the caller's arrays stay writable and later
-    writes to them do not reach the map.
+    writes to them do not reach the map.  The CSV writers keep a row-text
+    memo (:meth:`to_csv`): this map's own, or the one its builder call shares.
     """
 
     def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
@@ -274,22 +275,22 @@ class AmbiguityMap:
                                       and 0 <= lag_rows.min() <= lag_rows.max() < len(rows)
                                       and np.bincount(lag_rows.astype(np.intp), minlength=len(rows)).all()):
             raise ValueError(f"index must be 1-D integers using each of the {len(rows)} rows of values, and no other")
-        self._adopt(rows, ang, kind, n_pulses, lag_rows)
+        self._adopt(rows, ang, kind, n_pulses, lag_rows, {})
         if index is None:
             self._values = rows
 
     @classmethod
-    def _built(cls, rows, angles, kind, n_pulses, index, mirror=None) -> "AmbiguityMap":
-        """A map over arrays the library has just built and hands over: taken as they are, unchecked and uncopied."""
+    def _built(cls, rows, angles, kind, n_pulses, index, texts: dict, mirror=None) -> "AmbiguityMap":
+        """A map over arrays the library has just built and hands over, unchecked and uncopied; ``texts``: its row-text memo."""
         amap = cls.__new__(cls)
-        amap._adopt(rows, angles, kind, n_pulses, index, mirror)
+        amap._adopt(rows, angles, kind, n_pulses, index, texts, mirror)
         return amap
 
-    def _adopt(self, rows, angles, kind, n_pulses, index, mirror=None) -> None:
+    def _adopt(self, rows, angles, kind, n_pulses, index, texts, mirror=None) -> None:
         """Keep the arrays as the map's own, read-only.  ``mirror``: the map whose lag axis this one reverses."""
         for array in (rows, angles, index):
             array.setflags(write=False)
-        self._rows, self._index, self._values, self._mirror = rows, index, None, mirror
+        self._rows, self._index, self._values, self._mirror, self._texts = rows, index, None, mirror, texts
         self.angles, self.kind, self.n_pulses = angles, kind, n_pulses
 
     @property
@@ -380,29 +381,28 @@ class AmbiguityMap:
             "normalization_peak": self.peak,
         }
 
-    def to_csv(self, path, *, texts: dict = None) -> None:
+    def to_csv(self, path) -> None:
         """Complex values; header row of angles, first column of lags.
 
-        ``texts``, a dict the caller passes to several :meth:`to_csv` and
-        :meth:`db_to_csv` writes on any maps, memoizes row text: a row, the
-        angle header included, is formatted once across all of them, keyed
-        on its bytes.  Without it, each write formats each of its rows.
+        Row texts, the angle header's included, go to a memo keyed on cell
+        format and row bytes that the map keeps while it lives and shares
+        with the other maps of the builder call that made it (the four
+        polarimetric channels share most rows): each is formatted once.
         """
-        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), _COMPLEX_CELL, texts)
+        self._write_csv(path, np.ascontiguousarray(self._rows).view(float), _COMPLEX_CELL)
 
-    def db_to_csv(self, path, reference: float = None, *, texts: dict = None) -> None:
-        """dB magnitudes in the same layout as :meth:`to_csv`.
+    def db_to_csv(self, path, reference: float = None) -> None:
+        """dB magnitudes in the same layout as :meth:`to_csv`, with the same row-text memo.
 
         Normalized to the map's own peak by default; pass ``reference``
         to express the map relative to an external peak (values may then
         exceed 0 dB).  The reference must be finite and positive.
-        ``texts`` is the row-text memo described in :meth:`to_csv`.
         """
-        self._write_csv(path, self._db_rows(reference), _CELL, texts)
+        self._write_csv(path, self._db_rows(reference), _CELL)
 
-    def _write_csv(self, path, rows, cell_fmt, texts) -> None:
-        header = b"lag," + _row_texts(self.angles[None], _CELL, texts)[0]
-        _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=texts)
+    def _write_csv(self, path, rows, cell_fmt) -> None:
+        header = b"lag," + _row_texts(self.angles[None], _CELL, self._texts)[0]
+        _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=self._texts)
 
     def save_metadata(self, path) -> None:
         _write_json(path, self.metadata())
@@ -433,22 +433,6 @@ def _two_terms(pair, p, w, angles):
     return x, y, ang, int(pp.size), fw, fz, coef[:, 0], even, odd, index
 
 
-def _two_term_map(pair, p, w, angles, kind, closed_form: bool) -> AmbiguityMap:
-    x, _, ang, n, fw, _, sums, even, odd, index = _two_terms(pair, p, w, angles)
-    zero = x.size - 1
-    if closed_form:
-        # exact complementarity: C_x + C_y vanishes at every nonzero lag, so
-        # the zero lag (sum 2L) is the only lag on its row
-        if sums[np.delete(index, zero)].any():
-            raise ValueError("closed form requires a complementary pair")
-        rows = odd
-        rows[index[zero], :] = x.size * fw
-    else:
-        rows = even
-        rows += odd
-    return AmbiguityMap._built(rows, ang, kind, n, index)
-
-
 def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:
     """Direct two-term evaluation of A(k, theta); works for any biphase pair.
 
@@ -463,7 +447,9 @@ def discrete_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMa
     kind : str
         Axis label carried into the map metadata ("doppler" or "delay").
     """
-    return _two_term_map(pair, p, w, angles, kind, closed_form=False)
+    _, _, ang, n, _, _, _, even, odd, index = _two_terms(pair, p, w, angles)
+    even += odd
+    return AmbiguityMap._built(even, ang, kind, n, index, {})
 
 
 def closed_form_ambiguity(pair, p, w, angles, kind: str = "doppler") -> AmbiguityMap:
@@ -474,12 +460,18 @@ def closed_form_ambiguity(pair, p, w, angles, kind: str = "doppler") -> Ambiguit
     the integer correlations the map is built from; other pairs are
     rejected because the reduction does not hold for them.
     """
-    return _two_term_map(pair, p, w, angles, kind, closed_form=True)
+    x, _, ang, n, fw, _, sums, _, odd, index = _two_terms(pair, p, w, angles)
+    # exact complementarity: C_x + C_y vanishes at every nonzero lag, so
+    # the zero lag (sum 2L) is the only lag on its row
+    if sums[np.delete(index, x.size - 1)].any():
+        raise ValueError("closed form requires a complementary pair")
+    odd[index[x.size - 1], :] = x.size * fw
+    return AmbiguityMap._built(odd, ang, kind, n, index, {})
 
 
 def delay_ambiguity(pair, p, w, angles) -> AmbiguityMap:
     """Delay-axis map B(i, alpha): same algebra, delay angles per pulse."""
-    return _two_term_map(pair, p, w, angles, "delay", closed_form=False)
+    return discrete_ambiguity(pair, p, w, angles, "delay")
 
 
 @dataclass(frozen=True)

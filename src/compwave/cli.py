@@ -42,6 +42,7 @@ from .baselines import binomial_design, ptm_schedule
 from .design import (
     EmptyNullSpaceError,
     WaveformDesign,
+    _interval,
     _null_space,
     design_from_vector,
     null_space_design,
@@ -86,13 +87,13 @@ def _int_at_least(low):
 
 
 class _Ordered(argparse.Action):
-    """Store an (LO, HI) pair, rejecting LO > HI, nan and infinities."""
+    """Store an (LO, HI) pair that passes the library's interval rule (:func:`~compwave.design._interval`)."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if not values[0] <= values[1]:
-            raise argparse.ArgumentError(None, f"{option_string} endpoints out of order: {values}")
-        if not np.isfinite(values).all():
-            raise argparse.ArgumentError(None, f"{option_string} endpoints must be finite: {values}")
+        try:
+            values = list(_interval(*values))
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"{option_string} {str(exc).removeprefix('interval ')}") from None
         setattr(namespace, self.dest, values)
 
 
@@ -218,19 +219,22 @@ def _require(args, *names) -> None:
 
 
 class _Outputs:
-    """The one output path: ``outputs(name, write, *extra, **options)`` makes ``root`` on the first call, runs
-    ``write(root / name, *extra, **options)``, prints ``wrote <path>``, records ``name`` and returns the result."""
+    """The one output path: ``outputs(name, write, *extra)`` makes ``root`` on the first call, removes an existing
+    ``root / name`` (a new file, not a truncated one), runs ``write(root / name, *extra)``, prints ``wrote <path>``,
+    records ``name`` and returns the result."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.names = []
 
-    def __call__(self, name, write, *extra, **options):
+    def __call__(self, name, write, *extra):
         if not self.names:
             self.root.mkdir(parents=True, exist_ok=True)
-        result = write(self.root / name, *extra, **options)
+        path = self.root / name
+        path.unlink(missing_ok=True)
+        result = write(path, *extra)
         self.names.append(name)
-        print(f"wrote {self.root / name}")
+        print(f"wrote {path}")
         return result
 
 
@@ -306,10 +310,9 @@ def cmd_evaluate(args, outputs) -> None:
     amap = discrete_ambiguity(pair, design.p, design.w, angles, kind=kind)
     metrics = sidelobe_metrics(amap)
     prefix = args.prefix or Path(args.design).stem
-    texts = {}  # row-text memo of this command's map CSVs
     for suffix, write in (
-        ("map.csv", lambda path: amap.to_csv(path, texts=texts)),
-        ("map_db.csv", lambda path: amap.db_to_csv(path, texts=texts)),
+        ("map.csv", amap.to_csv),
+        ("map_db.csv", amap.db_to_csv),
         ("map_meta.json", amap.save_metadata),
         ("profile.csv", metrics.profile_to_csv),
         ("prsl.csv", metrics.prsl_to_csv),
@@ -385,10 +388,9 @@ def cmd_polar(args, outputs) -> None:
             channel._db_reference()
         except ValueError as exc:
             raise CliError(f"{name} channel: {exc}") from exc
-    texts = {}  # row-text memo shared by the channels, which share most rows bit for bit
     for name, channel in amb.channels.items():
-        outputs(f"{prefix}_{name}.csv", channel.to_csv, texts=texts)
-        outputs(f"{prefix}_{name}_db.csv", channel.db_to_csv, texts=texts)
+        outputs(f"{prefix}_{name}.csv", channel.to_csv)
+        outputs(f"{prefix}_{name}_db.csv", channel.db_to_csv)
         outputs(f"{prefix}_{name}_meta.json", channel.save_metadata)
     samples = []
     for lag, angle in points:
@@ -422,8 +424,7 @@ def cmd_repro(args, outputs) -> None:
 
     # one polarimetric evaluation per null-space or binomial design: its VV channel is
     # bit for bit the single-antenna map, and its VH channel is written after the sweep
-    cross = {}  # tag -> (VH map, co-polar mainlobe peak)
-    texts = {}  # row-text memo of every map CSV: a VH dB row is often a VV one of the same design
+    cross = {}  # tag -> (VH map, co-polar mainlobe peak); VH shares its row-text memo with VV
 
     def co_polar(tag, design, angles):
         amb = polarimetric_ambiguities(pair, design.p, design.w, angles)
@@ -432,7 +433,7 @@ def cmd_repro(args, outputs) -> None:
 
     angles_interval = evaluation_grid(0.0, 2.0, args.points)
     amap = co_polar("interval", interval_design, angles_interval)
-    emit("interval_map_db.csv", amap.db_to_csv, texts=texts)
+    emit("interval_map_db.csv", amap.db_to_csv)
     emit("interval_map_meta.json", amap.save_metadata)
     emit("interval_prsl.csv", sidelobe_metrics(amap).prsl_to_csv)
 
@@ -446,7 +447,7 @@ def cmd_repro(args, outputs) -> None:
             dmap = discrete_ambiguity(pair, design.p, design.w, angles_overall)
         else:
             dmap = co_polar("overall" if name == "ns" else name, design, angles_overall)
-            emit(f"overall_{name}_map_db.csv", dmap.db_to_csv, texts=texts)
+            emit(f"overall_{name}_map_db.csv", dmap.db_to_csv)
         columns[name] = sidelobe_metrics(dmap).prsl_db
     emit("overall_prsl_comparison.csv", write_columns_csv, ["angle", *columns], [angles_overall, *columns.values()])
 
@@ -455,7 +456,7 @@ def cmd_repro(args, outputs) -> None:
 
     # cross-polar channels, referenced to each run's co-polar mainlobe peak
     for tag, (vh, reference) in cross.items():
-        emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference, texts=texts)
+        emit(f"polar_{tag}_vh_db.csv", vh.db_to_csv, reference)
 
     emit("manifest.json", _write_json, {"n": n, "points": args.points, "seed": args.seed, "outputs": list(emit.names)})
     if sweep_failure:

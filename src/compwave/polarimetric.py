@@ -110,12 +110,13 @@ def polarimetric_ambiguities(pair, p, w, angles, kind: str = "doppler") -> Polar
     vv = even + odd
     even -= odd  # HH = even - odd, in place
     coef, cross_index = _lag_rows(_correlate(x, y))
-    vh = AmbiguityMap._built(np.outer(coef[:, 0], fz), ang, kind, n, cross_index)
+    texts = {}  # the four maps' one row-text memo: they share most rows bit for bit
+    vh = AmbiguityMap._built(np.outer(coef[:, 0], fz), ang, kind, n, cross_index, texts)
     return PolarimetricAmbiguity(
-        vv=AmbiguityMap._built(vv, ang, kind, n, index),
-        hh=AmbiguityMap._built(even, ang, kind, n, index),
+        vv=AmbiguityMap._built(vv, ang, kind, n, index, texts),
+        hh=AmbiguityMap._built(even, ang, kind, n, index, texts),
         vh=vh,
-        hv=AmbiguityMap._built(vh._rows, ang, kind, n, cross_index[::-1], mirror=vh),  # C_yx[k] = C_xy[-k]
+        hv=AmbiguityMap._built(vh._rows, ang, kind, n, cross_index[::-1], texts, mirror=vh),  # C_yx[k] = C_xy[-k]
     )
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 
@@ -500,6 +501,12 @@ EDGE_MAP = AmbiguityMap(
 )
 
 
+def sharing_one_memo(maps) -> tuple:
+    """(copies of ``maps`` that share one row-text memo, as the maps of one builder call do; the memo)."""
+    texts = {}
+    return [AmbiguityMap._built(m._rows, m.angles, m.kind, m.n_pulses, m._index, texts) for m in maps], texts
+
+
 class TestCsvOracle:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(amap=repeated_row_maps(), reference=st.floats(min_value=5e-324, max_value=1e308))
@@ -531,17 +538,16 @@ class TestCsvOracle:
         out = tmp_path_factory.mktemp("memo")
         everything = maps + [EDGE_MAP] + twins
         for order in (everything, everything[::-1]):
-            texts = {}
-            for amap in order:
-                amap.to_csv(out / "map.csv", texts=texts)
+            for amap in sharing_one_memo(order)[0]:
+                amap.to_csv(out / "map.csv")
                 assert (out / "map.csv").read_text() == ref_map_csv(amap.angles, amap.values, ref_complex)
                 mag = np.abs(amap.values)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    amap.db_to_csv(out / "ref.csv", reference=reference, texts=texts)
+                    amap.db_to_csv(out / "ref.csv", reference=reference)
                     expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / reference), ref_float)
                     assert (out / "ref.csv").read_text() == expected
                     if np.isfinite(mag.max()) and mag.max() > 0:
-                        amap.db_to_csv(out / "db.csv", texts=texts)
+                        amap.db_to_csv(out / "db.csv")
                         expected = ref_map_csv(amap.angles, 20.0 * np.log10(mag / mag.max()), ref_float)
                         assert (out / "db.csv").read_text() == expected
 
@@ -609,10 +615,11 @@ class TestCsvOracle:
         real = AmbiguityMap(values=np.random.default_rng(11).standard_normal((3, 4)), angles=np.arange(4.0))
         complex_map = AmbiguityMap(values=np.ascontiguousarray(real.db).view(complex), angles=[0.5, 1.5])
         assert [row.tobytes() for row in real.db] == [row.tobytes() for row in complex_map.values]
-        for order in ((real.db_to_csv, complex_map.to_csv), (complex_map.to_csv, real.db_to_csv)):
-            texts = {}
-            for write in order:
-                write(tmp_path / f"{write.__name__}.csv", texts=texts)
+        for db_first in (True, False):
+            (real_shared, complex_shared), texts = sharing_one_memo([real, complex_map])
+            writes = [real_shared.db_to_csv, complex_shared.to_csv]
+            for write in writes if db_first else writes[::-1]:
+                write(tmp_path / f"{write.__name__}.csv")
             assert (tmp_path / "db_to_csv.csv").read_text() == ref_map_csv(real.angles, real.db, ref_float)
             assert (tmp_path / "to_csv.csv").read_text() == ref_map_csv(
                 complex_map.angles, complex_map.values, ref_complex)
@@ -621,12 +628,13 @@ class TestCsvOracle:
     def test_shared_memo_formats_each_distinct_row_once(self, tmp_path, pair64, design_02):
         angles = evaluation_grid(0.0, 2.0, 41)
         amb = polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles)
-        texts = {}
+        texts = amb.vv._texts
+        assert all(amap._texts is texts for amap in amb.channels.values())
         distinct = {("float", angles.tobytes())}
         separately = 0  # rows formatted when each file has its own memo
         for name, amap in amb.channels.items():
-            amap.to_csv(tmp_path / f"{name}.csv", texts=texts)
-            amap.db_to_csv(tmp_path / f"{name}_db.csv", texts=texts)
+            amap.to_csv(tmp_path / f"{name}.csv")
+            amap.db_to_csv(tmp_path / f"{name}_db.csv")
             complex_rows = {("complex", row.tobytes()) for row in amap.values}
             db_rows = {("float", row.tobytes()) for row in amap.db}
             distinct |= complex_rows | db_rows
@@ -640,10 +648,38 @@ class TestCsvOracle:
         amap = discrete_ambiguity(pair64, design_02.p, design_02.w, angles)
         rows = {row.tobytes() for row in amap.values}
         magnitudes = {np.abs(row).tobytes() for row in amap.values}
-        texts = {}
-        amap.db_to_csv(tmp_path / "db.csv", texts=texts)
+        amap.db_to_csv(tmp_path / "db.csv")
         assert (len(rows), len(magnitudes)) == (12, 8)
-        assert len(texts) == 1 + len(magnitudes)  # the angle header, then one text per |row|
+        assert len(amap._texts) == 1 + len(magnitudes)  # the angle header, then one text per |row|
+
+    def test_each_builder_call_and_each_public_map_has_its_own_memo(self, tmp_path, pair64, design_02):
+        angles = evaluation_grid(0.0, 2.0, 21)
+        args = (pair64, design_02.p, design_02.w, angles)
+        maps = [discrete_ambiguity(*args), discrete_ambiguity(*args), closed_form_ambiguity(*args),
+                delay_ambiguity(*args), polarimetric_ambiguities(*args).vv, polarimetric_ambiguities(*args).vv]
+        maps += [AmbiguityMap(values=m.values, angles=angles) for m in maps[:2]]
+        assert len({id(m._texts) for m in maps}) == len(maps)
+        maps[0].to_csv(tmp_path / "map.csv")
+        assert maps[0]._texts and not any(m._texts for m in maps[1:])
+
+    def test_a_written_map_keeps_its_row_texts(self, tmp_path, monkeypatch, pair64, design_02):
+        amap = discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 41))
+        formatted = []
+        format_block = ambiguity._format_block
+
+        def counted(v, *rest):
+            formatted.append(len(v))
+            return format_block(v, *rest)
+
+        monkeypatch.setattr(ambiguity, "_format_block", counted)
+        for _ in range(2):
+            amap.to_csv(tmp_path / "map.csv")
+            amap.db_to_csv(tmp_path / "db.csv")
+            assert sum(formatted) == len(amap._texts) == 1 + 12 + 8  # the header, complex rows, one per |row|
+
+    def test_writers_take_no_memo(self):
+        assert list(inspect.signature(AmbiguityMap.to_csv).parameters) == ["self", "path"]
+        assert list(inspect.signature(AmbiguityMap.db_to_csv).parameters) == ["self", "path", "reference"]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda k: st.lists(

@@ -412,13 +412,22 @@ def test_non_finite_weight_file_rejected_before_work(tmp_path, capsys, command, 
 @pytest.mark.parametrize("argv, message", [
     (["design", "--n", 8, "--interval", 0, 1e308], "phase overflows"),
     (["design", "--n", 8, "--interval", -1e308, 1e308], "width must be finite"),
+    (["snr-sweep", "--interval", -1e308, 1e308, "--n-list", 8, "--optimizers", "bs"],
+     "--interval endpoints and width must be finite: [-1e+308, 1e+308]"),
+    (["compare", "--n", 8, "--interval", 0, 2, "--eval-interval", -1e308, 1e308, "--points", 5],
+     "--eval-interval endpoints and width must be finite"),
+    (["evaluate", "--design", "DESIGN", "--eval-interval", -1e308, 1e308, "--points", 5],
+     "--eval-interval endpoints and width must be finite"),
+    (["polar", "--design", "DESIGN", "--eval-interval", -1e308, 1e308, "--points", 5],
+     "--eval-interval endpoints and width must be finite"),
     (["compare", "--n", 8, "--interval", 0, 1e308, "--points", 5], "phase overflows"),
     (["compare", "--n", 8, "--interval", 0, 2, "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
     (["evaluate", "--design", "DESIGN", "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
     (["polar", "--design", "DESIGN", "--eval-interval", 0, 1e308, "--points", 5], "phase overflows"),
 ], ids=lambda value: " ".join(map(str, value)) if isinstance(value, list) else None)
 def test_overflowing_interval_rejected_before_any_file(tmp_path, capsys, stored_design, argv, message):
-    # finite endpoints whose phases n theta (or whose width) overflow: named, with no numpy warning
+    # finite endpoints whose phases n theta (or whose width) overflow: named, with no numpy warning;
+    # an infinite width fails the parser's interval rule, which names the flag
     argv = [stored_design if token == "DESIGN" else token for token in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -667,6 +676,21 @@ class TestOutputRouting:
         blocker = tmp_path / "blocked"
         blocker.write_text("")
         assert run("golay-gen", "--out-dir", blocker, "--log2-length", 2) == 3
+
+    def test_rerun_replaces_files_instead_of_truncating_them(self, tmp_path):
+        out, links = tmp_path / "out", tmp_path / "links"
+        links.mkdir()
+        path = make_design(out, n=8)
+        argv = ["evaluate", "--out-dir", out, "--design", path, "--points", 21, "--prefix", "ev"]
+        assert run(*argv) == 0
+        written = sorted(out.glob("ev_*"))
+        assert len(written) == 5
+        for f in written:
+            (links / f.name).hardlink_to(f)
+        assert run(*argv) == 0
+        for f in written:
+            assert not f.samefile(links / f.name), f.name
+            assert f.read_bytes() == (links / f.name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
