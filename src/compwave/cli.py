@@ -109,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pair_opts = _Parser(add_help=False)
     pair_opts.add_argument("--pair", default="length64",
-                           help="'length64' (bundled fixture) or a power-of-two length to generate")
-    pair_opts.add_argument("--pair-file", help="JSON pair file (overrides --pair)")
+                           help="'length64' (bundled pair), a power-of-two length to generate, or a pair JSON file")
 
     eval_opts = _Parser(add_help=False)
     eval_opts.add_argument("--eval-interval", type=float, nargs=2, metavar=("LO", "HI"), action=_Ordered,
@@ -239,15 +238,13 @@ class _Outputs:
 
 
 def _resolve_pair(args) -> GolayPair:
-    if getattr(args, "pair_file", None):
-        return GolayPair.load(args.pair_file)
-    token = str(getattr(args, "pair", "length64"))
-    if token == "length64":
+    """--pair: 'length64', a power-of-two length, else the path of a pair JSON file."""
+    if args.pair == "length64":
         return length64_pair()
     try:
-        length = int(token)
-    except ValueError as exc:
-        raise CliError(f"--pair must be 'length64' or an integer length, got {token!r}") from exc
+        length = int(args.pair)
+    except ValueError:
+        return GolayPair.load(args.pair)
     if length < 1 or length & (length - 1):
         raise CliError(f"generated pair lengths must be powers of two, got {length}")
     return generate_golay_pair(length.bit_length() - 1)
@@ -472,15 +469,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(_config_argv(parser, argv, args))
         args.func(args, _Outputs(args.out_dir or os.environ.get(ENV_OUT_DIR) or "."))
         return 0
-    except EmptyNullSpaceError as exc:
+    except (EmptyNullSpaceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # io.UnsupportedOperation is both an OSError and a ValueError: an I/O failure
+        return 2 if isinstance(exc, EmptyNullSpaceError) else 3 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

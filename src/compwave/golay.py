@@ -8,8 +8,8 @@ complementary when the autocorrelations cancel at every nonzero lag:
 
 Correlations of biphase inputs are float64 dot products, which are exact:
 every product is +-1 and every partial sum an integer of magnitude at most
-L < 2**53, so no operation rounds.  The results are returned as int64, and
-complementarity is checked exactly rather than to a tolerance.
+L < 2**53, so no operation rounds.  They are returned as new int64 arrays,
+entry ``i`` at lag ``i - (L - 1)``, and complementarity is checked exactly.
 The correlation convention throughout is the matched-filter one,
 
     C_ab[k] = sum_l a[l + k] conj(b[l]),   k = -(L-1) .. L-1,
@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "CorrelationProfile",
     "GolayPair",
     "as_biphase",
     "autocorrelation",
@@ -57,35 +56,6 @@ def as_biphase(seq) -> np.ndarray:
     if np.iscomplexobj(arr):
         arr = arr.real
     return arr.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Aperiodic correlation values indexed by lag.
-
-    ``values[i]`` holds the correlation at lag ``lags[i]``; lags run
-    -(L-1) .. L-1 in ascending order.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or v.size % 2 == 0:
-            raise ValueError("correlation profile must have odd length 2L-1")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def length(self) -> int:
-        """Length L of the underlying sequences."""
-        return (self.values.size + 1) // 2
-
-    @property
-    def lags(self) -> np.ndarray:
-        L = self.length
-        return np.arange(-(L - 1), L)
 
 
 def _biphase_pair(a, b):
@@ -126,27 +96,35 @@ def _correlation(a: bytes, b: bytes) -> np.ndarray:
     return c
 
 
-def autocorrelation(s) -> CorrelationProfile:
-    """Aperiodic autocorrelation of a biphase sequence, exact in int64."""
+def autocorrelation(s) -> np.ndarray:
+    """Aperiodic autocorrelation C_s of a biphase sequence: the caller's own exact int64 array.
+
+    Entry ``i`` is lag ``i - (L - 1)``, so ``np.arange(-(L - 1), L)`` is its
+    lag axis and ``L - 1`` its zero lag.
+    """
     arr = as_biphase(s)
-    return CorrelationProfile(_correlate(arr, arr))
+    return _correlate(arr, arr).copy()
 
 
-def cross_correlation(a, b) -> CorrelationProfile:
-    """Aperiodic cross-correlation C_ab[k] = sum_l a[l+k] b[l].
+def cross_correlation(a, b) -> np.ndarray:
+    """Aperiodic cross-correlation C_ab[k] = sum_l a[l+k] b[l], laid out like :func:`autocorrelation`.
 
     Both sequences must be biphase and of equal length.  Reduces to
     :func:`autocorrelation` when ``a`` and ``b`` coincide.
     """
-    return CorrelationProfile(_correlate(*_biphase_pair(a, b)))
+    return _correlate(*_biphase_pair(a, b)).copy()
 
 
 def is_golay_pair(x, y) -> bool:
     """True when the autocorrelations cancel exactly at every nonzero lag."""
-    xx, yy = _biphase_pair(x, y)
-    total = _correlate(xx, xx) + _correlate(yy, yy)
+    return _complementary(*_biphase_pair(x, y))
+
+
+def _complementary(x: np.ndarray, y: np.ndarray) -> bool:
+    """:func:`is_golay_pair` of two validated biphase arrays of one length."""
+    total = _correlate(x, x) + _correlate(y, y)
     expected = np.zeros_like(total)
-    expected[xx.size - 1] = 2 * xx.size
+    expected[x.size - 1] = 2 * x.size
     return bool(np.array_equal(total, expected))
 
 
@@ -154,16 +132,17 @@ def is_golay_pair(x, y) -> bool:
 class GolayPair:
     """A validated complementary pair of biphase sequences.
 
-    Construction checks complementarity exactly and raises ``ValueError``
-    otherwise.  Unpacks like a tuple: ``x, y = pair``.
+    Construction validates each sequence once, checks complementarity
+    exactly and raises ``ValueError`` otherwise.  Unpacks like a tuple:
+    ``x, y = pair``.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        xx, yy = as_biphase(self.x), as_biphase(self.y)
-        if not is_golay_pair(xx, yy):
+        xx, yy = _biphase_pair(self.x, self.y)
+        if not _complementary(xx, yy):
             raise ValueError("sequences are not a complementary pair")
         xx.setflags(write=False)
         yy.setflags(write=False)
@@ -207,10 +186,8 @@ def reverse(s) -> np.ndarray:
 
 
 def length64_pair() -> GolayPair:
-    """The bundled length-64 complementary pair used by the experiments."""
-    text = resources.files("compwave").joinpath("data/length64_pair.json").read_text()
-    data = json.loads(text)
-    return GolayPair(x=data["x"], y=data["y"])
+    """The bundled length-64 complementary pair used by the experiments, read by :meth:`GolayPair.load`."""
+    return GolayPair.load(resources.files("compwave") / "data" / "length64_pair.json")
 
 
 def save_sequence(path, s) -> None:

@@ -1,7 +1,9 @@
 import argparse
+import io
 import json
 import math
 import re
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -334,9 +336,11 @@ RULED_OPTIONS = {
 }
 
 # (command, option) pairs the CLI rejects: the hcd step tolerance is fixed, first-basis always takes the
-# basis's column 0 (any other column is LAPACK's arbitrary pick), and only the commands that run hcd take a seed
+# basis's column 0 (any other column is LAPACK's arbitrary pick), only the commands that run hcd take a seed,
+# and a pair file is given to --pair itself
 RETIRED_OPTIONS = [("design", "eps"), ("snr-sweep", "eps"), ("repro", "eps"), ("design", "basis-index"),
-                   ("compare", "seed"), ("evaluate", "seed"), ("polar", "seed"), ("golay-gen", "seed")]
+                   ("compare", "seed"), ("evaluate", "seed"), ("polar", "seed"), ("golay-gen", "seed"),
+                   ("evaluate", "pair-file"), ("compare", "pair-file"), ("polar", "pair-file")]
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +462,89 @@ def test_parser_built_once_and_left_unchanged(tmp_path):
     cells = [row.split(",")[:2] for row in (tmp_path / "stock.csv").read_text().splitlines()[1:]]
     assert cells == [[str(n), method] for n in (8, 16, 24, 32, 40, 48) for method in compwave.cli.SWEEP_METHODS]
     assert parser_state(parser) == before
+
+
+@pytest.mark.parametrize("error, code", [
+    (EmptyNullSpaceError("empty"), 2),
+    (FileNotFoundError("gone"), 3),
+    (io.UnsupportedOperation("not writable"), 3),  # an OSError and a ValueError: an I/O failure
+    (ValueError("bad"), 1),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exit_code_of_each_failure(tmp_path, monkeypatch, capsys, error, code):
+    def fail(log2_length):
+        raise error
+    monkeypatch.setattr(compwave.cli, "generate_golay_pair", fail)
+    assert run("golay-gen", "--out-dir", tmp_path / "out", "--log2-length", 2) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# the length-10 Golay pair: only a pair file can give a length that is not a power of two
+LENGTH10 = {"x": [1, 1, -1, 1, -1, 1, -1, -1, 1, 1], "y": [1, 1, -1, 1, 1, 1, 1, 1, -1, -1]}
+PAIR_COMMANDS = ("evaluate", "compare", "polar")
+
+
+def written_bytes(out) -> dict:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def map_lags(path) -> list:
+    return [int(line.split(",", 1)[0]) for line in path.read_text().splitlines()[1:]]
+
+
+class TestPairFiles:
+    """--pair takes 'length64', a power-of-two length, or the path of a pair JSON file."""
+
+    @staticmethod
+    def argv(command, stored_design):
+        valid = [stored_design if token == "DESIGN" else token for token in RULED_OPTIONS[command][0]]
+        return [command, *valid, *ANNOUNCED_EXTRA.get(command, [])]
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    def test_generated_pair_file_writes_the_bytes_of_its_length(self, tmp_path, monkeypatch, stored_design, command):
+        monkeypatch.chdir(tmp_path)
+        assert run("golay-gen", "--log2-length", 6) == 0
+        argv = self.argv(command, stored_design)
+        assert run(*argv, "--out-dir", "by-length", "--pair", 64) == 0
+        assert run(*argv, "--out-dir", "by-file", "--pair", "golay_pair.json") == 0
+        by_length = written_bytes(tmp_path / "by-length")
+        assert by_length and written_bytes(tmp_path / "by-file") == by_length
+
+    def test_non_power_of_two_pair_only_from_a_file(self, tmp_path, monkeypatch, capsys, stored_design):
+        assert is_golay_pair(LENGTH10["x"], LENGTH10["y"])
+        monkeypatch.chdir(tmp_path)
+        Path("16").write_text(json.dumps(LENGTH10))  # a file named like an integer is reached through ./
+        argv = self.argv("evaluate", stored_design) + ["--prefix", "m"]
+        assert run(*argv, "--out-dir", "file", "--pair", "./16") == 0
+        assert map_lags(tmp_path / "file" / "m_map.csv") == list(range(-9, 10))
+        assert run(*argv, "--out-dir", "generated", "--pair", 16) == 0
+        assert map_lags(tmp_path / "generated" / "m_map.csv") == list(range(-15, 16))
+        assert run(*argv, "--out-dir", "ten", "--pair", 10) == 1
+        assert "generated pair lengths must be powers of two, got 10" in capsys.readouterr().err
+        assert not (tmp_path / "ten").exists()
+
+    @pytest.mark.parametrize("content, code", [
+        (None, 3),
+        (json.dumps({"x": [1, 1], "y": [1, 1]}), 1),
+        (json.dumps({"x": [1, 1]}), 1),
+    ], ids=["missing", "not-complementary", "malformed"])
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    def test_bad_pair_file_makes_no_out_dir(self, tmp_path, capsys, stored_design, command, content, code):
+        path = tmp_path / "pair.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(*self.argv(command, stored_design), "--out-dir", tmp_path / "out", "--pair", path) == code
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pair_file_from_config(self, tmp_path, stored_design):
+        assert run("golay-gen", "--out-dir", tmp_path, "--log2-length", 3, "--out", "p8.json") == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pair": str(tmp_path / "p8.json")}))
+        argv = self.argv("polar", stored_design)
+        assert run(*argv, "--out-dir", tmp_path / "cfg", "--config", cfg) == 0
+        assert run(*argv, "--out-dir", tmp_path / "flag", "--pair", 8) == 0
+        assert written_bytes(tmp_path / "cfg") == written_bytes(tmp_path / "flag")
 
 
 class TestSnrSweepCommand:

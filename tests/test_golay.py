@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import compwave.golay
 from compwave import (
-    CorrelationProfile,
     GolayPair,
     as_biphase,
     autocorrelation,
@@ -43,61 +44,14 @@ class TestAsBiphase:
             as_biphase(bad)
 
 
-class TestCorrelations:
-    def test_autocorrelation_small(self):
-        prof = autocorrelation([1, 1])
-        assert np.array_equal(prof.values, [1, 2, 1])
-        assert np.array_equal(prof.lags, [-1, 0, 1])
-
-    def test_cross_correlation_example(self):
-        prof = cross_correlation([1, 1], [1, -1])
-        assert prof.values.tolist() == [-1, 0, 1]  # lags -1, 0, 1
-
-    def test_cross_reduces_to_auto(self):
-        s = [1, -1, -1, 1, 1]
-        assert np.array_equal(cross_correlation(s, s).values, autocorrelation(s).values)
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 13])
-    def test_matches_brute_force(self, length):
-        rng = np.random.default_rng(100 + length)
-        a = rng.choice([-1, 1], size=length)
-        b = rng.choice([-1, 1], size=length)
-        assert np.array_equal(cross_correlation(a, b).values, brute_correlation(a, b))
-        assert np.array_equal(autocorrelation(a).values, brute_correlation(a, a))
-
-    def test_fixture_against_brute_force(self, pair64):
-        x, y = pair64
-        assert np.array_equal(cross_correlation(x, y).values, brute_correlation(x, y))
-
-    def test_zero_lag_is_length(self, pair64):
-        for s in (*pair64, [1, 1, -1]):
-            prof = autocorrelation(s)
-            assert prof.values[prof.length - 1] == prof.length == len(s)
-
-    def test_transpose_symmetry(self):
-        # real sequences: C_ab[k] = C_ba[-k]
-        rng = np.random.default_rng(7)
-        a = rng.choice([-1, 1], size=9)
-        b = rng.choice([-1, 1], size=9)
-        assert np.array_equal(cross_correlation(a, b).values, cross_correlation(b, a).values[::-1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cross_correlation([1, 1], [1, -1, 1])
-
-    def test_profile_rejects_even_length(self):
-        with pytest.raises(ValueError):
-            CorrelationProfile(np.array([1, 2, 3, 4]))
-
-
 def biphase_array(n):
     return arrays(np.int64, n, elements=st.sampled_from([-1, 1]))
 
 
 @st.composite
-def correlation_pairs(draw):
-    """(a, b): arbitrary biphase arrays of equal or unequal length, or a complementary pair."""
-    shape = draw(st.sampled_from(["equal", "unequal", "complementary"]))
+def correlation_pairs(draw, equal=False):
+    """(a, b): arbitrary biphase arrays of equal or (unless ``equal``) unequal length, or a complementary pair."""
+    shape = draw(st.sampled_from(["equal", "complementary"] if equal else ["equal", "unequal", "complementary"]))
     if shape != "complementary":
         n = draw(st.integers(1, 512))
         m = n if shape == "equal" else draw(st.integers(1, 512))
@@ -108,6 +62,57 @@ def correlation_pairs(draw):
     if draw(st.booleans()):
         x, y = x[::-1].copy(), y[::-1].copy()
     return (y, x) if draw(st.booleans()) else (x, y)
+
+
+class TestCorrelations:
+    def test_autocorrelation_small(self):
+        c = autocorrelation([1, 1])
+        assert c.dtype == np.int64 and c.tolist() == [1, 2, 1]  # lags -1, 0, 1
+
+    def test_cross_correlation_example(self):
+        c = cross_correlation([1, 1], [1, -1])
+        assert c.dtype == np.int64 and c.tolist() == [-1, 0, 1]  # lags -1, 0, 1
+
+    def test_cross_reduces_to_auto(self):
+        s = [1, -1, -1, 1, 1]
+        assert np.array_equal(cross_correlation(s, s), autocorrelation(s))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 13])
+    def test_matches_brute_force(self, length):
+        rng = np.random.default_rng(100 + length)
+        a = rng.choice([-1, 1], size=length)
+        b = rng.choice([-1, 1], size=length)
+        assert np.array_equal(cross_correlation(a, b), brute_correlation(a, b))
+        assert np.array_equal(autocorrelation(a), brute_correlation(a, a))
+
+    def test_fixture_against_brute_force(self, pair64):
+        x, y = pair64
+        assert np.array_equal(cross_correlation(x, y), brute_correlation(x, y))
+
+    def test_zero_lag_is_length(self, pair64):
+        for s in (*pair64, [1, 1, -1]):
+            c = autocorrelation(s)
+            assert c.size == 2 * len(s) - 1 and c[len(s) - 1] == len(s)
+
+    def test_transpose_symmetry(self):
+        # real sequences: C_ab[k] = C_ba[-k]
+        rng = np.random.default_rng(7)
+        a = rng.choice([-1, 1], size=9)
+        b = rng.choice([-1, 1], size=9)
+        assert np.array_equal(cross_correlation(a, b), cross_correlation(b, a)[::-1])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            cross_correlation([1, 1], [1, -1, 1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=correlation_pairs(equal=True))
+    def test_callers_own_the_exact_correlation(self, pair):
+        a, b = pair
+        for got, u, v in ((cross_correlation(a, b), a, b), (autocorrelation(a), a, a)):
+            assert got.dtype == np.int64 and got.flags.writeable
+            assert np.array_equal(got, np.correlate(u, v, "full"))
+            assert not np.shares_memory(got, _correlate(u, v))
 
 
 class TestCorrelateHelper:
@@ -160,10 +165,12 @@ class TestCorrelationMemo:
             values[0] = 0
 
     def test_callers_get_their_own_arrays(self, pair64):
-        profile = autocorrelation(pair64.x)
-        assert not np.shares_memory(profile.values, _correlate(pair64.x, pair64.x))
+        c = autocorrelation(pair64.x)
+        assert not np.shares_memory(c, _correlate(pair64.x, pair64.x))
+        c[:] = 0  # the caller's own array: writing it reaches no other caller
         assert is_golay_pair(*pair64) and is_golay_pair(*pair64)
-        assert np.array_equal(autocorrelation(pair64.x).values, profile.values)
+        assert np.array_equal(autocorrelation(pair64.x), cross_correlation(pair64.x, pair64.x))
+        assert autocorrelation(pair64.x)[63] == 64
 
 
 class TestGolayPairs:
@@ -177,7 +184,7 @@ class TestGolayPairs:
         assert is_golay_pair(pair64.x, pair64.y)
 
     def test_complementarity_is_exact(self, pair64):
-        total = autocorrelation(pair64.x).values + autocorrelation(pair64.y).values
+        total = autocorrelation(pair64.x) + autocorrelation(pair64.y)
         expected = np.zeros(127, dtype=np.int64)
         expected[63] = 128
         assert np.array_equal(total, expected)
@@ -221,6 +228,13 @@ class TestGolayPairs:
         with pytest.raises(ValueError):
             pair64.x[0] = -1
 
+    def test_pair_validates_each_sequence_once(self, monkeypatch):
+        calls = []
+        check = compwave.golay.as_biphase
+        monkeypatch.setattr(compwave.golay, "as_biphase", lambda s: calls.append(s) or check(s))
+        GolayPair(x=[1, 1], y=[1, -1])
+        assert calls == [[1, 1], [1, -1]]
+
 
 class TestReverse:
     def test_small(self):
@@ -234,7 +248,7 @@ class TestReverse:
     def test_autocorrelation_invariant(self):
         rng = np.random.default_rng(4)
         s = rng.choice([-1, 1], size=10)
-        assert np.array_equal(autocorrelation(reverse(s)).values, autocorrelation(s).values)
+        assert np.array_equal(autocorrelation(reverse(s)), autocorrelation(s))
 
     def test_reversal_preserves_complementarity(self, pair64):
         assert is_golay_pair(reverse(pair64.x), reverse(pair64.y))
@@ -293,6 +307,11 @@ class TestSerialization:
             GolayPair.load(path)
         assert str(path) in str(info.value)
 
-    def test_bundled_fixture_loads(self):
+    def test_bundled_fixture_loads(self, monkeypatch):
+        reads = []
+        read = compwave.golay._read_json
+        monkeypatch.setattr(compwave.golay, "_read_json",
+                            lambda path, what, build: reads.append((Path(path).name, what)) or read(path, what, build))
         pair = length64_pair()
-        assert pair.length == 64
+        assert pair.length == 64 and is_golay_pair(*pair)
+        assert reads == [("length64_pair.json", "pair")]  # through the one JSON reader, like any pair file

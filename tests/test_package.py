@@ -5,8 +5,8 @@ from compwave import ambiguity, baselines, design, golay, polarimetric, snropt
 MODULES = (golay, design, ambiguity, snropt, polarimetric, baselines)
 
 PUBLIC = {
-    "CorrelationProfile", "GolayPair", "as_biphase", "autocorrelation", "cross_correlation",
-    "generate_golay_pair", "is_golay_pair", "length64_pair", "load_sequence", "reverse", "save_sequence",
+    "GolayPair", "as_biphase", "autocorrelation", "cross_correlation", "generate_golay_pair",
+    "is_golay_pair", "length64_pair", "load_sequence", "reverse", "save_sequence",
     "DesignReport", "EmptyNullSpaceError", "ResilienceGrid", "WaveformDesign", "design_from_vector",
     "design_matrix", "extract_design", "null_space_basis", "null_space_design", "validate_design",
     "AmbiguityMap", "SidelobeMetrics", "closed_form_ambiguity", "delay_ambiguity", "discrete_ambiguity",
