@@ -13,8 +13,10 @@ an explicit M, one of them M >= N), a delay design
 and one from a config file, ``evaluate`` (bundled and generated pairs, a
 gridless baseline), ``polar`` with sampled output matrices, ``evaluate``
 and ``polar`` on a generated L=4096 pair, ``polar`` on an N=48 [0, 2]
-design at the default 2001 points, ``compare``, ``snr-sweep`` and
-``golay-gen``.  The two default-size runs are where map CSVs share the
+design at the default 2001 points, ``evaluate`` and ``polar`` on an N=12
+design stored with its non-uniform grid's angles (saved through the
+public API, as a hand-written config is), ``compare``, ``snr-sweep``
+and ``golay-gen``.  The two default-size runs are where map CSVs share the
 most rows across channels and files.  One ``<sha256>  <path>`` line per
 file, sorted by path, goes to standard output.  Run it against two
 library trees and diff the outputs to show that a change keeps every
@@ -41,9 +43,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def sequence(out: Path) -> list:
-    """The CLI argv lists, in order; later commands read files earlier ones wrote."""
+    """The CLI argv lists, in order; later commands read files earlier ones wrote.
+
+    Writes the two inputs no command writes: a hand-written config and a
+    design on a non-uniform grid, saved through the library's public API.
+    """
+    from compwave import ResilienceGrid, design_from_vector, design_matrix, null_space_basis  # from --src: see main()
+
     (out / "config.json").write_text(json.dumps(
         {"n": 10, "interval": [0, 1.5], "m": 7, "out": "cfg.json"}))
+    grid = ResilienceGrid([0.0, 0.25, 0.9, 1.4, 2.0], interval=(0.0, 2.0))
+    design_from_vector(null_space_basis(design_matrix(grid, 12))[:, 0], grid).save(out / "nonuniform.json")
     o = ["--out-dir", str(out)]
     return [
         ["repro", *o, "--n", "16", "--points", "101", "--n-list", "8", "16",
@@ -75,6 +85,8 @@ def sequence(out: Path) -> list:
          "--scattering", "0.9+0.1j", "(-0.2+0.3j)", "0.05j", "1", "--sample", "0", "0.0", "--sample", "-5", "1.0"],
         ["polar", *o, "--design", str(out / "delay.json"), "--points", "21", "--sample", "63", "1.0"],
         ["polar", *o, "--design", str(out / "fb48.json"), "--sample", "-3", "0.5"],
+        ["evaluate", *o, "--design", str(out / "nonuniform.json"), "--points", "21"],
+        ["polar", *o, "--design", str(out / "nonuniform.json"), "--points", "21"],
         ["evaluate", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
         ["polar", *o, "--design", str(out / "hcd.json"), "--points", "5", "--pair", "4096"],
         ["snr-sweep", *o, "--n-list", "8", "12", "16", "--restarts", "2", "--sweeps", "3"],

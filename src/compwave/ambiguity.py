@@ -14,12 +14,12 @@ controlled by f_z alone and the zero lag carries L f_w.  The delay axis
 obeys the same algebra with delay angles in place of Doppler angles.
 
 A map therefore depends on the lag only through the integer pair
-((C_x + C_y)[k], (C_x - C_y)[k]), and :class:`AmbiguityMap` stores one
-row per distinct pair plus each lag's index into those rows: at L = 4096
-134 rows serve 8191 lags.  Peaks, sidelobe metrics and the CSV writers
-read the rows.  The dense lag x angle array, (2L-1) x angles complex
-cells, is built only when ``values`` or ``db`` is read, bit-identical
-to a dense evaluation.
+((C_x + C_y)[k], (C_x - C_y)[k]).  The builders here store one row per
+distinct pair plus each lag's index into those rows (at L = 4096, 134
+rows serve 8191 lags); peaks, sidelobe metrics and the CSV writers read
+the rows.  The dense lag x angle array, (2L-1) x angles complex cells,
+is built only when ``values`` or ``db`` is read, bit-identical to a
+dense evaluation.  :class:`AmbiguityMap` itself wraps a dense array.
 
 Angles are dimensionless phase increments per pulse (radians).
 """
@@ -147,20 +147,12 @@ def _printf_row(row: np.ndarray, cell_fmt: str) -> bytes:
     return (",".join([cell_fmt] * (row.size // cell_fmt.count("%"))) % tuple(row.tolist()) + "\n").encode()
 
 
-def _row_texts(rows: np.ndarray, cell_fmt: str, texts: dict = None) -> list:
+def _row_texts(rows: np.ndarray, cell_fmt: str) -> list:
     """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it, as bytes ending in "\n".
 
-    With a memo ``texts``, a row's text is looked up in, or added to, it
-    under ``(cell_fmt, row bytes)``: bytes, not float equality, since 0.0
-    and -0.0 print differently.  Rows are formatted in blocks of whole
-    rows (of row pieces, for rows longer than a block): :func:`_format_block`.
+    Rows are formatted in blocks of whole rows (of row pieces, for rows
+    longer than a block): :func:`_format_block`.
     """
-    if texts is not None:
-        keys = [(cell_fmt, row.tobytes()) for row in rows]
-        todo = {key: i for i, key in enumerate(keys) if key not in texts}
-        new = rows if len(todo) == len(rows) else rows[list(todo.values())]
-        texts.update(zip(todo, _row_texts(new, cell_fmt)))
-        return [texts[key] for key in keys]
     width = rows.shape[1]
     if not width:
         return [b"\n"] * len(rows)
@@ -180,29 +172,6 @@ def _row_texts(rows: np.ndarray, cell_fmt: str, texts: dict = None) -> list:
     for i in np.flatnonzero(unsure):
         out[i] = _printf_row(rows[i], cell_fmt)
     return out
-
-
-def _write_matrix_csv(path, header: bytes, rows: np.ndarray, cell_fmt: str = _CELL, index=None, lags=None,
-                      texts: dict = None) -> None:
-    """Write the line ``header``, then one line per entry of ``index`` (default: each row in order).
-
-    A line is the row of the 2-D float64 array ``rows`` that its entry
-    names, printed with ``cell_fmt`` repeated across the row (it may take
-    several floats per cell); each row is formatted once however many
-    lines use it, and once across several writes that share one memo
-    ``texts`` (see :func:`_row_texts`).  ``lags``, when given, are
-    written as a first column.
-    """
-    lines = _row_texts(rows, cell_fmt, texts)
-    order = range(len(lines)) if index is None else index.tolist()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if lags is None:
-            fh.write(b"".join([lines[r] for r in order]))
-        else:
-            for lag, r in zip(lags, order):
-                fh.write(b"%d," % lag)
-                fh.write(lines[r])
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -249,35 +218,28 @@ def _lag_rows(*columns):
 class AmbiguityMap:
     """Sampled map A(k, theta): rows are lags -(L-1)..L-1, columns angles.
 
-    Stored factored: the distinct lag rows ``values`` and, for every lag
-    k, the ``index[k]`` of its row (see the module docstring); an
-    ``index`` that is not 1-D integer, names a row that does not exist or
-    leaves a row unused is a ``ValueError``.  ``index=None`` makes each row its own lag,
-    so ``AmbiguityMap(values=..., angles=...)`` wraps a dense array.
-    ``peak``, ``mainlobe``, the sidelobe quantities, :meth:`metadata` and
-    the CSV writers work on the rows.  ``values`` gathers the dense lag x
-    angle array on first read and keeps it; ``db`` gathers a new one on
-    each read.  The map keeps copies of ``values``, ``index`` and
-    ``angles``, read-only; the caller's arrays stay writable and later
-    writes to them do not reach the map.  The CSV writers keep a row-text
-    memo (:meth:`to_csv`): this map's own, or the one its builder call shares.
+    ``AmbiguityMap(values=..., angles=...)`` wraps a dense lag x angle
+    array, each row its own lag; it keeps read-only copies of ``values``
+    and ``angles``, so the caller's arrays stay writable and later writes
+    to them do not reach the map.  The library's builders store a map
+    factored instead: the distinct lag rows and, for every lag k, the
+    index of its row (see the module docstring).  ``peak``, ``mainlobe``,
+    the sidelobe quantities, :meth:`metadata` and the CSV writers work on
+    the rows.  ``values`` gathers the dense array on first read and keeps
+    it; ``db`` gathers a new one on each read.  The CSV writers format
+    through the map's row-text memo (:meth:`to_csv`): its own, or the one
+    its builder call shares.
     """
 
-    def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None, index=None):
+    def __init__(self, values, angles, kind: str = "doppler", n_pulses: int = None):
         rows = np.array(values, dtype=complex, ndmin=2)
-        lag_rows = np.arange(rows.shape[0]) if index is None else np.array(index)
         ang = _vector(angles, "angles", float)
-        if lag_rows.size % 2 == 0:
+        if len(rows) % 2 == 0:
             raise ValueError("lag axis must have odd length 2L-1")
         if rows.shape[1] != ang.size:
             raise ValueError("angle axis does not match the number of columns")
-        if index is not None and not (lag_rows.ndim == 1 and lag_rows.dtype.kind in "iu"
-                                      and 0 <= lag_rows.min() <= lag_rows.max() < len(rows)
-                                      and np.bincount(lag_rows.astype(np.intp), minlength=len(rows)).all()):
-            raise ValueError(f"index must be 1-D integers using each of the {len(rows)} rows of values, and no other")
-        self._adopt(rows, ang, kind, n_pulses, lag_rows, {})
-        if index is None:
-            self._values = rows
+        self._adopt(rows, ang, kind, n_pulses, np.arange(len(rows)), {})
+        self._values = rows
 
     @classmethod
     def _built(cls, rows, angles, kind, n_pulses, index, texts: dict, mirror=None) -> "AmbiguityMap":
@@ -400,9 +362,22 @@ class AmbiguityMap:
         """
         self._write_csv(path, self._db_rows(reference), _CELL)
 
+    def _memo_texts(self, rows, cell_fmt) -> list:
+        """:func:`_row_texts` of ``rows`` through the memo, keyed on ``(cell_fmt, row bytes)``: -0.0 prints unlike 0.0."""
+        keys = [(cell_fmt, row.tobytes()) for row in rows]
+        todo = {key: i for i, key in enumerate(keys) if key not in self._texts}
+        new = rows if len(todo) == len(rows) else rows[list(todo.values())]
+        self._texts.update(zip(todo, _row_texts(new, cell_fmt)))
+        return [self._texts[key] for key in keys]
+
     def _write_csv(self, path, rows, cell_fmt) -> None:
-        header = b"lag," + _row_texts(self.angles[None], _CELL, self._texts)[0]
-        _write_matrix_csv(path, header, rows, cell_fmt, index=self._index, lags=self.lags.tolist(), texts=self._texts)
+        header = self._memo_texts(self.angles[None], _CELL)[0]
+        lines = self._memo_texts(rows, cell_fmt)
+        with open(path, "wb") as fh:
+            fh.write(b"lag," + header)
+            for lag, r in zip(self.lags.tolist(), self._index.tolist()):
+                fh.write(b"%d," % lag)
+                fh.write(lines[r])
 
     def save_metadata(self, path) -> None:
         _write_json(path, self.metadata())
@@ -513,7 +488,10 @@ def write_columns_csv(path, labels, columns) -> None:
     cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
     if len({c.size for c in cols}) > 1 or len(cols) != len(labels):
         raise ValueError("column length mismatch: need equal-length columns, one per label")
-    _write_matrix_csv(path, (",".join(labels) + "\n").encode(), np.column_stack(cols))
+    lines = _row_texts(np.column_stack(cols), _CELL)
+    with open(path, "wb") as fh:
+        fh.write((",".join(labels) + "\n").encode())
+        fh.write(b"".join(lines))
 
 
 def write_two_column_csv(path, first, second, labels=("angle", "value")) -> None:

@@ -35,6 +35,7 @@ from .ambiguity import (
     sidelobe_metrics,
     write_columns_csv,
     write_two_column_csv,
+    _CELL,
     _grid_index,
     _lag_position,
 )
@@ -351,7 +352,7 @@ def _write_sweep(path: Path, args, n_list, methods, interval):
                 if space is None and method != "bd":
                     space = _null_space(n, interval, None, "doppler")
                 w = _build_design(args, n, interval, method=method, space=space)[0].w
-                lines.append(f"{n},{method},{snr_ratio(w):.17g}")
+                lines.append(f"{n},{method}," + _CELL % snr_ratio(w))
             except (EmptyNullSpaceError, ValueError) as exc:
                 print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)
                 lines.append(f"{n},{method},")

@@ -226,15 +226,14 @@ _PHASE_MEMO = 4  # phase matrices _phases keeps
 
 @functools.lru_cache(maxsize=_PHASE_MEMO)
 def _phases(angles: bytes, n: int) -> np.ndarray:
-    """The read-only :func:`_phase_matrix` of the float64 ``angles`` bytes and N, built pinned.
+    """The read-only :func:`_phase_matrix` of the float64 ``angles`` bytes and N.
 
     A memo of the last 4 (angles, N): it keeps at most 4 times the
     largest E of recent calls (1.5 MB at 2001 x 48).  The key is bytes,
     so 0.0 and -0.0 are different angles, as they are to exp; an error
     is never kept, so it is raised again on every call.
     """
-    with _one_blas_thread():
-        phases = _phase_matrix(np.frombuffer(angles), n)
+    phases = _phase_matrix(np.frombuffer(angles), n)  # outer and exp: no BLAS, so no pin
     phases.setflags(write=False)
     return phases
 

@@ -382,15 +382,17 @@ class TestOneBlasThread:
         assert self.count(setter) == 2
 
     def test_every_slow_time_product_runs_pinned(self, setter, monkeypatch, pair64, design_02):
-        # from a cold memo each entry point makes one phase matrix, on one thread, and gives back the
-        # caller's count; an immediate repeat makes none and returns the same bits
+        # every phases @ v product of each entry point runs on one thread, and the caller's count comes back;
+        # from a cold memo the entry point makes one phase matrix, and an immediate repeat makes none and
+        # returns the same bits
         counts = []
 
-        def recording(angles, n):
-            counts.append(self.count(setter))
-            return _phase_matrix(angles, n)
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                counts.append(TestOneBlasThread.count(setter))
+                return np.asarray(self) @ other
 
-        monkeypatch.setattr(compwave.design, "_phase_matrix", recording)
+        monkeypatch.setattr(compwave.design, "_phases", lambda angles, n: _phases(angles, n).view(Recording))
         p, w, grid, angles = design_02.p, design_02.w, design_02.grid, evaluation_grid(0.0, 2.0, 2001)
         for call, bits in ((lambda: discrete_ambiguity(pair64, p, w, angles), lambda a: a.values.tobytes()),
                            (lambda: polarimetric_ambiguities(pair64, p, w, angles),
@@ -402,8 +404,11 @@ class TestOneBlasThread:
             _phases.cache_clear()
             counts.clear()
             cold = bits(call())
-            assert counts == [1] and self.count(setter) == 2
-            assert bits(call()) == cold and counts == [1] and self.count(setter) == 2
+            products = len(counts)
+            assert products and counts == [1] * products and self.count(setter) == 2
+            assert _phases.cache_info().misses == 1
+            assert bits(call()) == cold and counts == [1] * 2 * products and self.count(setter) == 2
+            assert _phases.cache_info().misses == 1
 
     def test_overlapping_pins_restore_once(self, setter):
         # the setter acts on the whole process: the first pin out, while another runs, must not restore

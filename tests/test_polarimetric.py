@@ -61,7 +61,7 @@ def two_correlation_cross_maps(pair, p, w, angles, kind):
 
     def cross(a, b):
         coef, index = _lag_rows(np.correlate(a, b, "full"))
-        return AmbiguityMap(np.outer(coef[:, 0], fz), ang, kind, n, index)
+        return AmbiguityMap._built(np.outer(coef[:, 0], fz), ang, kind, n, index, {})
 
     return cross(x, y), cross(y, x)
 
