@@ -13,10 +13,12 @@ an explicit M, one of them M >= N), a delay design
 and one from a config file, ``evaluate`` (bundled and generated pairs, a
 gridless baseline), ``polar`` with sampled output matrices, ``evaluate``
 and ``polar`` on a generated L=4096 pair, ``polar`` on an N=48 [0, 2]
-design at the default 2001 points, ``evaluate`` and ``polar`` on an N=12
-design stored with its non-uniform grid's angles (saved through the
-public API, as a hand-written config is), ``compare``, ``snr-sweep``
-and ``golay-gen``.  The two default-size runs are where map CSVs share the
+design at the default 2001 points, ``evaluate`` on an N=16 design at 2100
+points (its complex map rows, 4200 floats, are longer than one formatting
+block, so each is printed in two pieces), ``evaluate`` and ``polar`` on an
+N=12 design stored with its non-uniform grid's angles (saved through the
+public API, as a hand-written config is), ``compare``, ``snr-sweep`` and
+``golay-gen``.  The two default-size runs are where map CSVs share the
 most rows across channels and files.  One ``<sha256>  <path>`` line per
 file, sorted by path, goes to standard output.  Run it against two
 library trees and diff the outputs to show that a change keeps every
@@ -77,6 +79,7 @@ def sequence(out: Path) -> list:
         ["design", *o, "--config", str(out / "config.json")],
         ["compare", *o, "--n", "16", "--interval", "0", "2", "--points", "101"],
         ["evaluate", *o, "--design", str(out / "fb.json"), "--points", "101"],
+        ["evaluate", *o, "--design", str(out / "fb.json"), "--points", "2100", "--prefix", "wide"],
         ["evaluate", *o, "--design", str(out / "bs.json"), "--points", "33", "--pair", "256"],
         ["evaluate", *o, "--design", str(out / "delay.json"), "--points", "21"],
         ["evaluate", *o, "--design", str(out / "compare_bd.json"), "--points", "51",

@@ -25,6 +25,7 @@ Angles are dimensionless phase increments per pulse (radians).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ __all__ = [
 
 _CELL = "%.17g"  # float CSV cell: 17 significant digits, an exact float64 round trip
 _COMPLEX_CELL = _CELL + "%+.17gj"  # re+imj, signed imaginary part; parseable by complex()
-_VARIANTS = {_CELL: [0], _COMPLEX_CELL: [2, 4]}  # 2 x class of each float in a cell: plain, real, imaginary
+_VARIANTS = {_CELL: [0], _COMPLEX_CELL: [1, 2]}  # the class of each float in a cell: plain, real, imaginary
 _BLOCK = 4096  # floats per formatting block: bounds the working set
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX")) if hasattr(os, "writev") else 0  # buffers per writev call
 
 # 10^k = hi + lo exactly for k = 0..44 (5^44 < 2^106), hi's Veltkamp halves, and the least double >= 10^x
 _P10_HI = np.array([float(10 ** k) for k in range(45)])
@@ -61,26 +63,26 @@ _LEAST = np.array([np.nextafter(t, np.inf) if f"{t:.40e}"[0] == "9" else t  # t,
 
 
 def _cell_tables():
-    """The slot templates and digit words of :func:`_format_block`.
+    """The slot templates and digit words of :func:`_unsigned_block`.
 
-    A cell shape is (k = 16 - X, or 45 for 0, 46 for inf; n digits; v = 2 class + sign); its 48 byte slots,
-    at row (17 k + n - 1) 6 + v, are 0 sign | 1-5 "0.000" | 6 + 2i digit i, 7 + 2i a "." after it | 40-43
-    "e-XX" or "inf" | 44-45 separator, each holding its character, 0xFF for a printed digit, or 0.
+    A cell shape is (k = 16 - X, or 45 for 0, 46 for inf; n digits; class v); its 48 byte slots, at row
+    (17 k + n - 1) 3 + v, are 0 sign ("+" of an imaginary part) | 1-5 "0.000" | 6 + 2i digit i, 7 + 2i a "."
+    after it | 40-43 "e-XX" or "inf" | 44-45 separator, each holding its character, 0xFF for a digit, or 0.
     """
-    k, n, v = (a.ravel() for a in np.meshgrid(np.arange(47), np.arange(1, 18), np.arange(6), indexing="ij"))
+    k, n, v = (a.ravel() for a in np.meshgrid(np.arange(47), np.arange(1, 18), np.arange(3), indexing="ij"))
     x, chars = 16 - k, lambda text: np.frombuffer(text, np.uint8)
     fixed, sci = (k < 45) & (x >= -4), (k < 45) & (x < -4)
     whole = fixed & (x >= 0)  # integer digits are printed even when zero
     shown = np.where(k == 45, 1, np.where(whole, np.maximum(n, x + 1), n) * (k < 45))
     dot = np.where(whole & (n > x + 1), x, np.where(sci & (n > 1), 0, -1))
     s = np.zeros((k.size, 48), np.uint8)
-    s[:, 0] = np.select([v % 2 == 1, v // 2 == 2], [ord("-"), ord("+")])
+    s[:, 0] = (v == 2) * np.uint8(ord("+"))
     s[:, 1:6] = np.where(fixed[:, None] & (x[:, None] < 0) & (np.arange(5) < 1 - x[:, None]), chars(b"0.000"), 0)
     s[:, 6:40:2] = (np.arange(17) < shown[:, None]) * np.uint8(0xFF)
     s[:, 7:41:2] = (np.arange(17) == dot[:, None]) * np.uint8(ord("."))
     exponent = np.stack([np.full_like(x, ord("e")), np.full_like(x, ord("-")), 48 + -x // 10, 48 + -x % 10], 1)
     s[:, 40:44] = np.where(sci[:, None], exponent, np.where((k == 46)[:, None], chars(b"inf\0"), 0))
-    s[:, 44:46] = chars(b",\0\0\0j,").reshape(3, 2)[v // 2]
+    s[:, 44:46] = chars(b",\0\0\0j,").reshape(3, 2)[v]
     q = np.arange(10000, dtype=np.uint16)
     quads = np.repeat(q[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48, 2, 1)  # in even bytes of 8
     quads = np.where(np.arange(8) % 2, 0xFF, quads).astype(np.uint8).view(np.uint64).ravel()
@@ -94,21 +96,22 @@ def _cell_tables():
 _SLOTS, _LENGTHS, _QUADS, _FIRST, _SIGNIFICANT = _cell_tables()
 
 
-def _format_block(v: np.ndarray, variants: np.ndarray, last: bool):
-    """(text bytes, text length per row, rows left to the % template) of the 2-D float64 block ``v``.
+def _unsigned_block(a: np.ndarray, variants: np.ndarray, last: bool):
+    """(byte slots, text length per row, rows left to the % template) of the 2-D block ``a`` of float64 |cells|.
 
-    Each float is ``%.17g`` plus its column's variant (separator; forced sign and "j" for an imaginary
-    part); a ``last`` block ends its rows with "\n".  For |v| in [1e-28, 1e17), D = round(|v| 10^k) with
-    k = 16 - X exact (checked against the least double >= 10^X); the product is exact for k <= 22, so
-    ties go half-even as in Gay's dtoa, and within 1e-14 for k > 22, so a fraction that close to 1/2
-    is left to the template.  So are nan ("nan" whatever its sign) and other cells out of range but 0, inf.
+    A cell's 48 slots hold ``%.17g`` of its magnitude and its column's variant ("+" and "j" of an imaginary part,
+    separator), zeros between; slot 0 alone takes a sign.  A ``last`` block ends its rows with "\n".  For a in
+    [1e-28, 1e17), D = round(a 10^k) with k = 16 - X exact: the binary exponent e gives X or X - 1 (no nonzero
+    (e - 1) log10 2 in range is within 0.004 of an integer), the least double >= 10^(X+1) settles which.  The product
+    is exact for k <= 22, so ties go half-even as in Gay's dtoa, and within 1e-14 for k > 22, so a fraction that
+    close to 1/2 is left to the template.  So are nan and other cells out of range but 0, inf.
     """
-    a = np.abs(v).ravel()
+    shape, a = a.shape, a.ravel()
     c = np.fmin(np.fmax(a, _LEAST[0]), np.nextafter(_LEAST[-1], 0))
     special = np.flatnonzero(a != c)
     a = a[special]
-    i = np.clip(np.floor(np.log10(c)), -28, 16).astype(np.intp) + 28
-    k = 44 - i + (c < _LEAST.take(i)) - (c >= _LEAST.take(i + 1))
+    i = np.maximum((np.frexp(c)[1] - 1) * 78913 >> 18, -28) + 28  # 78913 / 2^18 = log10 2 - 8e-7
+    k = 44 - i - (c >= _LEAST.take(i + 1))
     p = c * _P10_HI.take(k)  # p + e = c hi exactly (Dekker)
     ch = c * 134217729.0
     ch -= ch - c  # Veltkamp split: c = ch + cl, each half fits 26 bits
@@ -124,22 +127,21 @@ def _format_block(v: np.ndarray, variants: np.ndarray, last: bool):
     if special.size:
         D[special], k[special] = 0, np.where(a == 0, 45, 46)
         unsure[special] = (a != 0) & (a != np.inf)
-    first, D = np.divmod(D, 10 ** 16)
-    quads = [group for half in np.divmod(D, 10 ** 8) for group in np.divmod(half, 10 ** 4)]  # 4 digits each
-    del D
+    quads = []  # the last 16 digits in groups of 4, first group first; D keeps the first digit
+    for _ in range(4):  # a division by the scalar and a multiply-subtract: faster than np.divmod
+        D, whole = D // 10 ** 4, D
+        quads.insert(0, whole - D * 10 ** 4)
     n = np.maximum.reduce([table.take(q) for table, q in zip(_SIGNIFICANT, quads)])
-    key = k * 102 + n * 6 + (np.signbit(v) + variants).ravel() - 6
-    slots = _SLOTS.take(key, axis=0)
-    slots[:, 0] &= _FIRST.take(first)
+    key = (k * 51 + n * 3).reshape(shape) + (variants - 3)
+    slots = _SLOTS.take(key.ravel(), axis=0)
+    slots[:, 0] &= _FIRST.take(D)
     for j, q in enumerate(quads, 1):
         slots[:, j] &= _QUADS.take(q)
-    del k, n, quads, first
-    slots = slots.view(np.uint8).reshape(*v.shape, 48)
+    del k, n, quads, D
+    slots = slots.view(np.uint8).reshape(*shape, 48)
     if last:
-        slots[:, -1, 44 + (variants[-1] == 4)] = ord("\n")
-    lengths = _LENGTHS.take(key).reshape(v.shape).sum(1)
-    slots = slots.tobytes()
-    return slots.translate(None, b"\0"), lengths, unsure.reshape(v.shape).any(1)
+        slots[:, -1, 44 + (variants[-1] == 2)] = ord("\n")
+    return slots, _LENGTHS.take(key).sum(1), unsure.reshape(shape).any(1)
 
 
 def _printf_row(row: np.ndarray, cell_fmt: str) -> bytes:
@@ -150,8 +152,9 @@ def _printf_row(row: np.ndarray, cell_fmt: str) -> bytes:
 def _row_texts(rows: np.ndarray, cell_fmt: str) -> list:
     """Each row of the 2-D float64 array ``rows`` printed with ``cell_fmt`` repeated across it, as bytes ending in "\n".
 
-    Rows are formatted in blocks of whole rows (of row pieces, for rows
-    longer than a block): :func:`_format_block`.
+    Blocks of whole rows (of row pieces, for rows longer than a block) go through :func:`_unsigned_block`, then
+    each negative cell gets its "-".  Complex rows equal up to signs, as the rows at lags +-d are up to the signs
+    of zeros, share that pass; float rows are not grouped: hashing a column file's rows costs more than it saves.
     """
     width = rows.shape[1]
     if not width:
@@ -159,19 +162,32 @@ def _row_texts(rows: np.ndarray, cell_fmt: str) -> list:
     span = min(width, _BLOCK)
     step = _BLOCK // span
     variants = np.tile(np.array(_VARIANTS[cell_fmt], dtype=np.intp), width // len(_VARIANTS[cell_fmt]))
-    out, unsure = [], np.zeros(len(rows), bool)
-    for r0 in range(0, len(rows), step):
-        parts = []
+    group = heads = np.arange(len(rows))  # row -> its magnitude's group (in order of first use); group -> first row
+    if cell_fmt == _COMPLEX_CELL:
+        shared = {}
+        group = np.array([shared.setdefault(np.abs(row).tobytes(), len(shared)) for row in rows])
+        heads = np.unique(group, return_index=True)[1]
+    out, unsure = np.empty(len(rows), object), np.zeros(len(rows), bool)
+    for g0 in range(0, len(heads), step):
+        members = np.flatnonzero((group >= g0) & (group < g0 + step))
+        local, parts = group[members] - g0, []
         for c0 in range(0, width, span):
-            text, lengths, bad = _format_block(rows[r0:r0 + step, c0:c0 + span], variants[c0:c0 + span],
-                                               c0 + span >= width)
-            ends = np.cumsum(lengths).tolist()
+            cols = slice(c0, c0 + span)
+            slots, lengths, bad = _unsigned_block(np.abs(rows[heads[g0:g0 + step], cols]), variants[cols],
+                                                  c0 + span >= width)
+            if members.size > len(slots):  # some rows share a magnitude: each takes a copy of its slots
+                slots = slots.take(local, axis=0)
+            negative = np.signbit(rows[members, cols])  # a "-" adds a byte, or replaces an imaginary part's "+"
+            np.copyto(slots[..., 0], ord("-"), where=negative)
+            ends = np.cumsum(lengths[local] + (negative & (variants[cols] != 2)).sum(1)).tolist()
+            text = slots.tobytes().translate(None, b"\0")
+            del slots  # before the next block's: bounds the working set
             parts.append([text[start:end] for start, end in zip([0] + ends, ends)])
-            unsure[r0:r0 + step] |= bad
-        out += parts[0] if len(parts) == 1 else map(b"".join, zip(*parts))
+            unsure[members] |= bad[local]
+        out[members] = parts[0] if len(parts) == 1 else list(map(b"".join, zip(*parts)))
     for i in np.flatnonzero(unsure):
         out[i] = _printf_row(rows[i], cell_fmt)
-    return out
+    return out.tolist()
 
 
 def slow_time_response(coeffs, angles) -> np.ndarray:
@@ -349,7 +365,9 @@ class AmbiguityMap:
         Row texts, the angle header's included, go to a memo keyed on cell
         format and row bytes that the map keeps while it lives and shares
         with the other maps of the builder call that made it (the four
-        polarimetric channels share most rows): each is formatted once.
+        polarimetric channels share most rows): each is formatted once, and
+        rows equal up to signs share one digit pass.  The file goes out in
+        vectored writes of its lags' parts, never joined (:func:`_write_parts`).
         """
         self._write_csv(path, np.ascontiguousarray(self._rows).view(float), _COMPLEX_CELL)
 
@@ -373,11 +391,10 @@ class AmbiguityMap:
     def _write_csv(self, path, rows, cell_fmt) -> None:
         header = self._memo_texts(self.angles[None], _CELL)[0]
         lines = self._memo_texts(rows, cell_fmt)
-        with open(path, "wb") as fh:
-            fh.write(b"lag," + header)
-            for lag, r in zip(self.lags.tolist(), self._index.tolist()):
-                fh.write(b"%d," % lag)
-                fh.write(lines[r])
+        parts = [b"lag,", header] + [b""] * (2 * self._index.size)
+        parts[2::2] = [b"%d," % lag for lag in self.lags.tolist()]
+        parts[3::2] = [lines[r] for r in self._index.tolist()]
+        _write_parts(path, parts)
 
     def save_metadata(self, path) -> None:
         _write_json(path, self.metadata())
@@ -488,10 +505,30 @@ def write_columns_csv(path, labels, columns) -> None:
     cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
     if len({c.size for c in cols}) > 1 or len(cols) != len(labels):
         raise ValueError("column length mismatch: need equal-length columns, one per label")
-    lines = _row_texts(np.column_stack(cols), _CELL)
-    with open(path, "wb") as fh:
-        fh.write((",".join(labels) + "\n").encode())
-        fh.write(b"".join(lines))
+    _write_parts(path, [(",".join(labels) + "\n").encode(), b"".join(_row_texts(np.column_stack(cols), _CELL))])
+
+
+def _write_parts(path, parts: list) -> None:
+    """Write the bytes ``parts``, in order, as the file at ``path``: every CSV file the package writes.
+
+    Vectored writes of up to IOV_MAX parts on the unbuffered file; a short write resumes at its first unwritten
+    byte.  Where ``os`` has no ``writev``, a buffered file takes the parts one by one.
+    """
+    if not hasattr(os, "writev"):
+        with open(path, "wb") as fh:
+            return fh.writelines(parts)
+    with open(path, "wb", buffering=0) as fh:
+        start = 0
+        while start < len(parts):
+            batch = parts[start:start + _IOV_MAX]
+            left = sum(map(len, batch)) - os.writev(fh.fileno(), batch)
+            start += len(batch)
+            while left > 0:  # a short write: back to the part that holds the first unwritten byte
+                start -= 1
+                size = len(parts[start])
+                if size >= left:
+                    parts[start] = memoryview(parts[start])[size - left:]
+                left -= size
 
 
 def write_two_column_csv(path, first, second, labels=("angle", "value")) -> None:

@@ -67,6 +67,7 @@ def _biphase_pair(a, b):
 
 
 _CORRELATION_MEMO = 8  # correlations _correlation keeps
+_MAX_LOG2_LENGTH = 16  # longest generated pair: 2^16
 
 
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,10 +170,11 @@ def generate_golay_pair(log2_length: int) -> GolayPair:
 
     Starting from the seed pair ([1], [1]), each step maps (x, y) to
     (x || y, x || -y), which preserves complementarity while doubling
-    the length.
+    the length.  ``log2_length`` must be an integer in [0, 16], checked before any work: the
+    complementarity check correlates directly, in O(L^2) (1.4 s at L = 2^16, 6 s at 2^17, 2-CPU Xeon).
     """
-    if log2_length < 0 or int(log2_length) != log2_length:
-        raise ValueError("log2_length must be a nonnegative integer")
+    if not 0 <= log2_length <= _MAX_LOG2_LENGTH or int(log2_length) != log2_length:
+        raise ValueError(f"log2_length must be an integer in [0, {_MAX_LOG2_LENGTH}], got {log2_length}")
     x = np.array([1], dtype=np.int64)
     y = np.array([1], dtype=np.int64)
     for _ in range(int(log2_length)):

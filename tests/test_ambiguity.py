@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from compwave import (
 )
 from compwave import ambiguity
 from compwave.ambiguity import _BLOCK
+from compwave.cli import main
 from compwave.design import _phase_matrix
 
 
@@ -548,8 +550,8 @@ class TestCsvOracle:
 
     @pytest.mark.parametrize("shift", [-0.5, 0.5])
     def test_exponent_does_not_rest_on_log10(self, tmp_path, monkeypatch, shift):
-        # a log10 off by half a decade gives an exponent estimate one too small or too large for
-        # half of the cells; the check against the least double >= 10^X must correct each of them
+        # the exponent must not rest on log10's accuracy (it is read from the binary exponent): a log10
+        # off by half a decade, either way, changes no cell
         cells = np.concatenate([INSIDE, 10.0 ** np.linspace(-28, 16.9, 301)])
         log10 = np.log10
         monkeypatch.setattr(ambiguity.np, "log10", lambda x: log10(x) + shift)
@@ -648,17 +650,18 @@ class TestCsvOracle:
     def test_a_written_map_keeps_its_row_texts(self, tmp_path, monkeypatch, pair64, design_02):
         amap = discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 41))
         formatted = []
-        format_block = ambiguity._format_block
+        unsigned_block = ambiguity._unsigned_block
 
-        def counted(v, *rest):
-            formatted.append(len(v))
-            return format_block(v, *rest)
+        def counted(a, *rest):
+            formatted.append(len(a))
+            return unsigned_block(a, *rest)
 
-        monkeypatch.setattr(ambiguity, "_format_block", counted)
+        monkeypatch.setattr(ambiguity, "_unsigned_block", counted)
         for _ in range(2):
             amap.to_csv(tmp_path / "map.csv")
             amap.db_to_csv(tmp_path / "db.csv")
-            assert sum(formatted) == len(amap._texts) == 1 + 12 + 8  # the header, complex rows, one per |row|
+            assert len(amap._texts) == 1 + 12 + 8  # the header, complex rows, one per |row|
+            assert sum(formatted) == 1 + 8 + 8  # the 12 complex rows have 8 magnitudes: one digit pass each
 
     def test_writers_take_no_memo(self):
         assert list(inspect.signature(AmbiguityMap.to_csv).parameters) == ["self", "path"]
@@ -675,6 +678,94 @@ class TestCsvOracle:
         write_columns_csv(path, labels, cols)
         expected = [",".join(labels)] + [",".join(ref_float(v) for v in row) for row in rows]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+class TestExponentEstimate:
+    def test_every_binade_and_decade_edge_matches_per_cell_reference(self, tmp_path):
+        # the estimate floor((e - 1) log10 2) of a cell in [2^(e-1), 2^e) is X or X - 1 and one check
+        # corrects it: the cells where it is X - 1, or would be off by more, sit at these edges
+        edges = np.concatenate([np.ldexp(1.0, np.arange(-94, 57)), [float(f"1e{x}") for x in range(-28, 18)]])
+        cells = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        cells = cells[(cells >= 1e-28) & (cells < 1e17)]
+        cells = np.concatenate([cells, -cells])
+        write_columns_csv(tmp_path / "cols.csv", ["v"], [cells])
+        assert (tmp_path / "cols.csv").read_text() == "v\n" + "".join(ref_float(v) + "\n" for v in cells)
+        values = np.stack([cells, cells[::-1]], 1).ravel().view(complex)[None]  # every cell as real and imag
+        amap = AmbiguityMap(values=values, angles=np.arange(float(values.size)))
+        amap.to_csv(tmp_path / "map.csv")
+        assert (tmp_path / "map.csv").read_text() == ref_map_csv(amap.angles, values, ref_complex)
+
+
+def short_writes(monkeypatch, limit):
+    """Make every ``os.writev`` write at most ``limit`` bytes; returns the list of the buffer counts it was given."""
+    calls, write = [], os.write
+
+    def writev(fd, buffers):
+        calls.append(len(buffers))
+        return write(fd, b"".join(buffers)[:limit])
+
+    monkeypatch.setattr(os, "writev", writev)
+    return calls
+
+
+def every_writer(amap, out) -> dict:
+    """The bytes of each file the map's writers and the column writer write into ``out``."""
+    amap.to_csv(out / "map.csv")
+    amap.db_to_csv(out / "db.csv")
+    write_columns_csv(out / "cols.csv", ["angle", "re", "im"], [amap.angles, amap.mainlobe.real, amap.mainlobe.imag])
+    return {name: (out / name).read_bytes() for name in ("map.csv", "db.csv", "cols.csv")}
+
+
+class TestVectoredWriter:
+    def test_short_writes_resume_at_the_exact_byte(self, tmp_path, monkeypatch, design_02):
+        amap = discrete_ambiguity(generate_golay_pair(3), design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 5))
+        (tmp_path / "whole").mkdir()
+        (tmp_path / "short").mkdir()
+        whole = every_writer(amap, tmp_path / "whole")
+        assert whole["map.csv"].decode() == ref_map_csv(amap.angles, amap.values, ref_complex)
+        calls = short_writes(monkeypatch, 7)
+        assert every_writer(amap, tmp_path / "short") == whole
+        assert len(calls) >= sum(map(len, whole.values())) // 7
+        ambiguity._write_parts(tmp_path / "parts", [b"", b"abc", b"", b"defghijklmnop", b"", b"q", b""])
+        assert (tmp_path / "parts").read_bytes() == b"abcdefghijklmnopq"
+
+    def test_more_parts_than_one_call_takes(self, tmp_path, monkeypatch, design_02):
+        amap = discrete_ambiguity(generate_golay_pair(12), design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 3))
+        limit = os.sysconf("SC_IOV_MAX")
+        assert 2 * len(amap.lags) + 2 > limit
+        calls = short_writes(monkeypatch, 2 ** 62)
+        amap.to_csv(tmp_path / "map.csv")
+        assert len(calls) > 1 and max(calls) <= limit
+        assert (tmp_path / "map.csv").read_text() == ref_map_csv(amap.angles, amap.values, ref_complex)
+
+    def test_without_writev_the_same_bytes(self, tmp_path, monkeypatch, design_02):
+        amap = discrete_ambiguity(generate_golay_pair(5), design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 9))
+        (tmp_path / "vectored").mkdir()
+        (tmp_path / "plain").mkdir()
+        vectored = every_writer(amap, tmp_path / "vectored")
+        monkeypatch.delattr(os, "writev")
+        assert every_writer(amap, tmp_path / "plain") == vectored
+
+    @pytest.mark.parametrize("vectored", [True, False])
+    def test_a_full_device_raises(self, monkeypatch, pair64, design_02, vectored):
+        if not vectored:
+            monkeypatch.delattr(os, "writev")
+        amap = discrete_ambiguity(pair64, design_02.p, design_02.w, evaluation_grid(0.0, 2.0, 5))
+        for write in (amap.to_csv, amap.db_to_csv, lambda path: write_two_column_csv(path, [1.0], [2.0])):
+            with pytest.raises(OSError):
+                write("/dev/full")
+
+    def test_cli_exits_3_on_a_full_device(self, tmp_path, monkeypatch, capsys, design_02):
+        # every writev goes to /dev/full instead: the kernel's own "no space left on device"
+        design_02.save(tmp_path / "d.json")
+        full, writev = os.open("/dev/full", os.O_WRONLY), os.writev
+        monkeypatch.setattr(os, "writev", lambda fd, buffers: writev(full, buffers))
+        try:
+            code = main(["evaluate", "--design", str(tmp_path / "d.json"), "--points", "5", "--out-dir", str(tmp_path)])
+        finally:
+            os.close(full)
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
 
 
 # Dense oracle for the factored maps: every lag row as its own outer

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,17 @@ from compwave import (
     save_sequence,
 )
 from compwave.golay import _correlate, _correlation
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def capped_python(code: str, cwd):
+    """``code`` run by a child Python that imports compwave from ``src``, with its address space capped at
+    2 GiB: a call that allocates without bound ends there in MemoryError instead of taking the machine's memory."""
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({2 ** 31}, {2 ** 31}))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", cap + code], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def brute_correlation(a, b):
@@ -210,6 +224,27 @@ class TestGolayPairs:
     def test_negative_log2_rejected(self):
         with pytest.raises(ValueError):
             generate_golay_pair(-1)
+
+    @pytest.mark.parametrize("log2_length", [17, 2.5, float("inf"), float("nan")])
+    def test_log2_outside_the_bound_rejected(self, log2_length):
+        with pytest.raises(ValueError, match=r"^log2_length must be an integer in \[0, 16\], got "):
+            generate_golay_pair(log2_length)
+
+    def test_a_length_passed_as_its_log2_fails_before_any_work(self, tmp_path):
+        # 64 is a pair length: without the bound the pair doubled until the process was killed
+        result = capped_python("from compwave import generate_golay_pair\ngenerate_golay_pair(64)", tmp_path)
+        assert "ValueError: log2_length must be an integer in [0, 16], got 64" in result.stderr
+
+    @pytest.mark.parametrize("argv", [["golay-gen", "--log2-length", "64"],
+                                      ["evaluate", "--design", "d.json", "--pair", str(2 ** 64)]],
+                             ids=["golay-gen", "evaluate"])
+    def test_cli_rejects_lengths_past_the_bound_before_any_file(self, tmp_path, design_02, argv):
+        design_02.save(tmp_path / "d.json")
+        code = f"import sys\nfrom compwave.cli import main\nsys.exit(main({argv + ['--out-dir', 'out']!r}))"
+        result = capped_python(code, tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == "error: log2_length must be an integer in [0, 16], got 64\n"
+        assert not (tmp_path / "out").exists()
 
     def test_pair_unpacks(self, pair64):
         x, y = pair64
