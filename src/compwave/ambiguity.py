@@ -25,6 +25,7 @@ Angles are dimensionless phase increments per pulse (radians).
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -298,8 +299,9 @@ class AmbiguityMap:
         L = self.sequence_length
         return np.arange(-(L - 1), L)
 
-    @property
+    @functools.cached_property
     def peak(self) -> float:
+        """max |A| over the map, computed once: the rows are read-only."""
         return float(np.abs(self._rows).max())
 
     def _row(self, i: int) -> np.ndarray:

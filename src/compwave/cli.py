@@ -251,14 +251,11 @@ def _resolve_pair(args) -> GolayPair:
     return generate_golay_pair(length.bit_length() - 1)
 
 
-def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis", space=None):
-    """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report).
-
-    ``space`` is the (grid, basis) of ``_null_space(n, interval, m, kind)`` when the caller already has it.
-    """
+def _build_design(args, n, interval, m=None, kind="doppler", method="first-basis"):
+    """Design by ``method`` (a SWEEP_METHODS name; hcd reads its settings from ``args``) -> (design, report)."""
     if method == "bd":
         return binomial_design(n), None
-    grid, basis = space or _null_space(n, interval, m, kind)
+    grid, basis = _null_space(n, interval, m, kind)
     if method == "first-basis":
         return design_from_vector(basis[:, 0], grid), None
     if method == "bs":
@@ -339,19 +336,16 @@ def cmd_compare(args, outputs) -> None:
 def _write_sweep(path: Path, args, n_list, methods, interval):
     """Write the ``n,method,snr_ratio`` table (ratio to 17 digits), leaving a failed cell blank.
 
-    The null-space methods of one N share its null space, computed once.  Returns None, or the
-    error to raise once the command's files are written: EmptyNullSpaceError (exit 2) when every
-    failed cell is an empty null space, else CliError (exit 1).
+    The null-space methods of one N run one SVD, through the memo of ``null_space_basis``.  Returns
+    None, or the error to raise once the command's files are written: EmptyNullSpaceError (exit 2)
+    when every failed cell is an empty null space, else CliError (exit 1).
     """
     lines = ["n,method,snr_ratio"]
     failed = []
     for n in n_list:
-        space = None
         for method in methods:
             try:
-                if space is None and method != "bd":
-                    space = _null_space(n, interval, None, "doppler")
-                w = _build_design(args, n, interval, method=method, space=space)[0].w
+                w = _build_design(args, n, interval, method=method)[0].w
                 lines.append(f"{n},{method}," + _CELL % snr_ratio(w))
             except (EmptyNullSpaceError, ValueError) as exc:
                 print(f"warning: N={n} {method} failed: {exc}", file=sys.stderr)

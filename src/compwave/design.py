@@ -128,10 +128,11 @@ def design_matrix(grid, n_pulses: int) -> np.ndarray:
 
     ``grid`` may be a :class:`ResilienceGrid` or a bare array of angles.
     N < 2 is rejected: a single pulse admits no nontrivial schedule.
-    Each call returns a new, writable array; the library's products
-    E @ v run through :func:`_responses` and its memo instead.
+    Each call returns a new, writable copy of the entry of :func:`_phases`,
+    the memo the library's products E @ v and null spaces read, so one
+    ``exp`` builds E per (angles, N) for all of them.
     """
-    return _phase_matrix(_constraint_angles(grid, n_pulses), n_pulses)
+    return _phases(_constraint_angles(grid, n_pulses).tobytes(), n_pulses).copy()
 
 
 def _vector(values, what: str, dtype=complex) -> np.ndarray:
@@ -260,6 +261,8 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
     :func:`_one_blas_thread`, so the basis does not depend on the core
     count.  Each column's phase is canonicalized so its largest-magnitude
     entry is real and positive, making the basis deterministic across runs.
+    Each call returns a new, writable, F-ordered copy of the entry of
+    :func:`_basis`, the memo that runs one SVD per constraint matrix.
 
     Raises
     ------
@@ -268,7 +271,26 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
         matrix has full column rank and only the zero vector maps to 0.
     """
     E = np.atleast_2d(np.asarray(matrix))
-    m, n = E.shape
+    # "K" keeps the basis F-ordered, as the SVD leaves it: hcd rounds differently on a C-ordered copy
+    return _basis(E.dtype.str, E.shape, E.tobytes()).copy(order="K")
+
+
+_BASIS_MEMO = 1  # null-space bases _basis keeps
+
+
+@functools.lru_cache(maxsize=_BASIS_MEMO)
+def _basis(dtype: str, shape: tuple, data: bytes) -> np.ndarray:
+    """The read-only :func:`null_space_basis` of the matrix in ``data``; a memo of the last matrix.
+
+    Keyed on dtype, shape and bytes, it keeps one matrix and its basis
+    (0.4 MB at N = 128): the repeats it serves come back to back, as the
+    design methods of one N in a sweep, or ``null_space_design`` after a
+    caller's ``null_space_basis(design_matrix(grid, N))``.  An
+    :class:`EmptyNullSpaceError` is never kept, so it is raised again on
+    every call.
+    """
+    E = np.frombuffer(data, dtype=dtype).reshape(shape)
+    m, n = shape
     with _one_blas_thread():
         _, sv, vh = np.linalg.svd(E)
     tol = max(m, n) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
@@ -284,6 +306,7 @@ def null_space_basis(matrix: np.ndarray) -> np.ndarray:
         col = basis[:, u]
         pivot = col[np.argmax(np.abs(col))]
         basis[:, u] = col * (np.conj(pivot) / np.abs(pivot))
+    basis.setflags(write=False)
     return basis
 
 

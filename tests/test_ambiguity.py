@@ -216,6 +216,16 @@ class TestAmbiguityMap:
         assert np.array_equal(amap.lags, [-1, 0, 1])
         assert amap.peak == 4.0
 
+    def test_peak_is_computed_once(self, pair64, design_02):
+        angles = np.linspace(0.0, 2.0, 11)
+        amb = polarimetric_ambiguities(pair64, design_02.p, design_02.w, angles)
+        maps = {"built": discrete_ambiguity(pair64, design_02.p, design_02.w, angles), "mirrored": amb.hv,
+                "cross": amb.vh, "dense": self._small_map()}
+        for label, amap in maps.items():
+            assert "peak" not in vars(amap), label
+            assert amap.peak == np.abs(amap.values).max(), label
+            assert vars(amap)["peak"] is amap.peak, label  # kept: the rows it reads are read-only
+
     def test_db_normalization(self):
         db = self._small_map().db
         assert db.max() == 0.0

@@ -27,6 +27,7 @@ from compwave import (
     polarimetric_ambiguities,
 )
 from compwave.cli import main
+from compwave.design import _basis
 
 
 def run(*argv) -> int:
@@ -46,10 +47,10 @@ def force_failed_cell(monkeypatch, error, cell):
     """Make the CLI's design builder raise ``error`` for one ``(n, method)`` cell."""
     build = compwave.cli._build_design
 
-    def failing(args, n, interval, m=None, kind="doppler", method="first-basis", space=None):
+    def failing(args, n, interval, m=None, kind="doppler", method="first-basis"):
         if (n, method) == cell:
             raise error("forced failure")
-        return build(args, n, interval, m, kind, method, space)
+        return build(args, n, interval, m, kind, method)
 
     monkeypatch.setattr(compwave.cli, "_build_design", failing)
 
@@ -589,14 +590,13 @@ class TestSnrSweepCommand:
         assert all(row.split(",")[2] for row in rows[1:] if row != "12,bs,")
         assert "1 sweep cell(s) failed: N=12 bs" in capsys.readouterr().err
 
-    def test_each_null_space_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-        null_space = compwave.cli._null_space
-        monkeypatch.setattr(compwave.cli, "_null_space", lambda *a: calls.append(a[0]) or null_space(*a))
+    def test_each_null_space_computed_once(self, tmp_path):
+        # the three null-space methods of one N run one SVD: the later two hit the memo of null_space_basis
+        _basis.cache_clear()
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, 12, "--restarts", 2, "--sweeps", 3) == 0
-        assert calls == [8, 12]
+        assert _basis.cache_info()[:2] == (4, 2)  # (hits, misses)
         assert run("snr-sweep", "--out-dir", tmp_path, "--n-list", 8, "--optimizers", "bd") == 0
-        assert calls == [8, 12]
+        assert _basis.cache_info()[:2] == (4, 2)
 
     def test_failed_null_space_fails_each_of_its_cells(self, tmp_path, monkeypatch, capsys):
         null_space = compwave.cli._null_space

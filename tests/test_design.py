@@ -16,6 +16,7 @@ from compwave import (
     EmptyNullSpaceError,
     ResilienceGrid,
     WaveformDesign,
+    coordinate_descent,
     cross_channel_nulls,
     design_from_lambda,
     design_from_vector,
@@ -31,7 +32,7 @@ from compwave import (
     snr_upper_bound,
     validate_design,
 )
-from compwave.design import _blas_thread_setter, _one_blas_thread, _phase_matrix, _phases, _responses
+from compwave.design import _basis, _blas_thread_setter, _one_blas_thread, _phase_matrix, _phases, _responses
 
 
 class TestResilienceGrid:
@@ -177,6 +178,17 @@ class TestPhaseMemo:
         E[:] = 0
         assert np.array_equal(_responses(angles, v)[0], before)
 
+    def test_design_matrix_is_the_phase_matrix(self):
+        # one exp per (angles, N): the public E is a copy of the memo entry, bit for bit the fresh matrix
+        grid = ResilienceGrid.uniform(0.0, 2.0, 47)
+        E = design_matrix(grid, 48)
+        fresh = _phase_matrix(grid.angles, 48)
+        assert E.tobytes() == fresh.tobytes() and E.strides == fresh.strides and E.flags.writeable
+        assert not np.shares_memory(E, _phases(grid.angles.tobytes(), 48))
+        assert _phases.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert null_space_design(48, (0.0, 2.0)).residual is not None
+        assert _phases.cache_info()[:2] == (3, 1)  # the design's null space and residual read the same entry
+
     def test_overflow_raised_on_every_call(self):
         for _ in range(3):
             with pytest.raises(ValueError, match="phase overflows"):
@@ -301,7 +313,9 @@ class TestNullSpaceBasis:
 
     def test_deterministic(self):
         E = design_matrix(ResilienceGrid.uniform(0.0, 2.0, 47), 48)
-        assert np.array_equal(null_space_basis(E), null_space_basis(E))
+        first = null_space_basis(E)
+        _basis.cache_clear()  # two SVDs, not one and a memo hit
+        assert np.array_equal(first, null_space_basis(E))
 
     # The cut max(M, N) eps sigma_max alone sets U.  Measured (OpenBLAS 0.3.31, numpy 2.4, through
     # the pinned SVD of null_space_basis) sigma / cut for the last kept and the first cut singular value:
@@ -326,6 +340,103 @@ class TestNullSpaceBasis:
         assert kept[-1] >= 2
         if cut.size:
             assert cut[0] <= 0.9
+
+
+class TestBasisMemo:
+    """The memo of ``_basis`` behind ``null_space_basis``: one SVD per matrix, each caller its own F-ordered copy."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _basis.cache_clear()
+
+    @staticmethod
+    def layout(Z) -> tuple:
+        """Everything a later product can see of ``Z``: dtype, shape, strides (of axes longer than 1: numpy
+        ignores the others), order, writability and bytes."""
+        strides = tuple(stride for stride, size in zip(Z.strides, Z.shape) if size > 1)
+        return (Z.dtype, Z.shape, strides, Z.flags.c_contiguous, Z.flags.f_contiguous, Z.flags.writeable,
+                Z.tobytes(order="A"))
+
+    @pytest.mark.parametrize("n, hi", [(24, 2.0), (40, 2.0), (48, np.pi), (96, 2.0)])
+    def test_a_hit_is_a_miss(self, n, hi):
+        E = design_matrix(ResilienceGrid.uniform(0.0, hi, n - 1), n)
+        miss = null_space_basis(E)
+        hit = null_space_basis(E.copy())
+        assert _basis.cache_info()[:2] == (1, 1)  # (hits, misses)
+        # the SVD leaves the basis F-ordered, and so does every copy handed out
+        fresh = _basis.__wrapped__(E.dtype.str, E.shape, E.tobytes())
+        assert self.layout(miss) == self.layout(hit) == self.layout(fresh)[:5] + (True, fresh.tobytes(order="A"))
+        assert miss.flags.f_contiguous and miss.flags.owndata
+        entry = _basis(E.dtype.str, E.shape, E.tobytes())
+        assert not entry.flags.writeable
+        assert not any(np.shares_memory(a, b) for a, b in ((miss, hit), (miss, entry), (hit, entry)))
+
+    def test_writing_a_basis_reaches_no_later_call(self):
+        E = design_matrix(ResilienceGrid.uniform(0.0, 2.0, 47), 48)
+        first = null_space_basis(E)
+        expected = first.tobytes(order="A")
+        first[:] = 0
+        assert null_space_basis(E).tobytes(order="A") == expected
+
+    def test_key_is_dtype_shape_and_bytes(self):
+        # the same bytes under another shape or dtype are another matrix
+        ones = np.ones((2, 4))
+        assert null_space_basis(ones).shape == (4, 3) and null_space_basis(ones.reshape(4, 2)).shape == (2, 1)
+        zeros = np.zeros((2, 3))
+        assert np.array_equal(null_space_basis(zeros), null_space_basis(zeros.astype(np.int64)))
+        assert _basis.cache_info()[:2] == (0, 4)
+
+    def test_holds_the_last_matrix(self):
+        matrices = [design_matrix(ResilienceGrid.uniform(0.0, 2.0, m), 12) for m in range(1, 11)]
+        for E in matrices:
+            assert null_space_basis(E).shape[1] >= 1
+        assert _basis.cache_info().currsize == compwave.design._BASIS_MEMO == 1
+        null_space_basis(matrices[-1])
+        null_space_basis(matrices[-2])
+        assert _basis.cache_info()[:2] == (1, 11)  # (hits, misses): only the last matrix is kept
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores and more matrices than the entry, switching often: every basis must be
+        # the fresh one, each thread's own copy, and the memo must stay within its bound
+        matrices = [design_matrix(ResilienceGrid.uniform(0.0, 2.0, m), 12) for m in range(3, 9)]
+        expected = [_basis.__wrapped__(E.dtype.str, E.shape, E.tobytes()).tobytes(order="A") for E in matrices]
+        wrong, start = [], threading.Barrier(8)
+
+        def calling(seed):
+            start.wait(10)
+            for i in np.random.default_rng(seed).integers(len(matrices), size=100).tolist():
+                Z = null_space_basis(matrices[i])
+                if Z.tobytes(order="A") != expected[i] or not Z.flags.writeable:
+                    wrong.append(i)
+                Z[:] = 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=calling, args=(seed,)) for seed in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == [] and _basis.cache_info().currsize <= 1
+
+    def test_empty_null_space_raised_on_every_call(self):
+        E = design_matrix(ResilienceGrid(angles=[0.0, np.pi / 2, np.pi, 3 * np.pi / 2]), 4)
+        for _ in range(3):
+            with pytest.raises(EmptyNullSpaceError):
+                null_space_basis(E)
+        assert _basis.cache_info()[1:] == (3, 1, 0)  # (misses, maxsize, currsize)
+
+    @pytest.mark.parametrize("n", [40, 96])
+    def test_hcd_reads_a_hit_as_a_miss(self, n):
+        # hcd's QR and block products round by the basis's memory order: a hit must give the miss's report
+        E = design_matrix(ResilienceGrid.uniform(0.0, 2.0, n - 1), n)
+        reports = [json.dumps(coordinate_descent(null_space_basis(E), restarts=3, seed=0).to_dict())
+                   for _ in range(2)]
+        assert _basis.cache_info()[:2] == (1, 1) and reports[0] == reports[1]
 
 
 # prints whether the OpenBLAS lookup ran at import, then digests of the N = 96/128 bases and an hcd result

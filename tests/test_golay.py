@@ -130,7 +130,7 @@ class TestCorrelations:
 
 
 class TestCorrelateHelper:
-    """The float64 correlation helper against numpy's int64 correlation."""
+    """The FFT correlation helper against numpy's int64 correlation."""
 
     @staticmethod
     def assert_exact(a, b):
@@ -147,12 +147,33 @@ class TestCorrelateHelper:
         for u, v in ((a, b), (b, a), (a, a), (b, b)):
             self.assert_exact(u, v)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(a=st.integers(1, 4).flatmap(biphase_array), b=st.integers(1, 4).flatmap(biphase_array))
+    @example(a=np.ones(1, dtype=np.int64), b=np.array([1, -1]))
+    @example(a=np.array([-1]), b=np.array([1]))
+    def test_short_sequences_of_any_two_lengths(self, a, b):
+        # the FFT length and the slice are set by La + Lb - 1, down to a single lag
+        self.assert_exact(a, b)
+        self.assert_exact(b, a)
+
     def test_doubling_pair_at_8192(self):
         x, y = generate_golay_pair(13)
         # all ones: the correlation takes every integer 1..8192, past float16's exact range (2048)
         ones = np.ones(x.size, dtype=np.int64)
         for u, v in ((x, x), (y, y), (x, y), (y, x), (ones, ones)):
             self.assert_exact(u, v)
+
+    def test_doubling_pair_at_16384(self):
+        x, y = generate_golay_pair(14)
+        for u, v in ((x, x), (y, y), (x, y)):
+            self.assert_exact(u, v)
+
+    def test_all_ones_at_the_length_bound(self):
+        # the largest magnitudes a +-1 correlation of the longest generated length reaches: every integer 1..2^16
+        L = 2 ** 16
+        ones = np.ones(L, dtype=np.int64)
+        got = _correlate(ones, ones)
+        assert got.dtype == np.int64 and np.array_equal(got, L - np.abs(np.arange(-(L - 1), L)))
 
 
 class TestCorrelationMemo:
